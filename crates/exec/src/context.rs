@@ -40,9 +40,9 @@ pub struct ExecContext<'a> {
     pub threads: usize,
     /// How shuffle phases fan out and replicate their spilled runs.
     pub shuffle: ShuffleOptions,
-    /// In-flight depth of pipelined block fetches (scans and reducer
-    /// run fetches go through a `FetchStream` of this window). `1` =
-    /// serial I/O, the pre-pipelining behavior; block *counts* are
+    /// In-flight depth of block fetches (scans, hyper-join probe legs
+    /// and reducer run fetches all go through a `FetchStream` of this
+    /// window). `1` = serial I/O, a one-deep stream; block *counts* are
     /// identical at every window, only overlapped latency differs.
     pub fetch_window: usize,
     /// Per-reducer build-side memory budget for hash joins, in blocks.

@@ -6,14 +6,15 @@
 //! blocks through it. No shuffle: probe blocks are read (possibly more
 //! than once across groups — that is `C_HyJ`), never rewritten.
 //!
-//! With `ExecContext::fetch_window > 1` the probe leg overlaps its
-//! reads on a pipelined [`adaptdb_storage::FetchStream`] pinned to the
-//! group's node, reassembling completions into plan order — block
-//! counts and output are identical to the serial leg, only simulated
-//! latency overlaps. With `ExecContext::columnar` probe blocks stay
-//! lazily decoded: predicates evaluate column-wise into a selection
-//! bitset, the join key column alone is decoded for a batch probe, and
-//! only the matching probe rows are ever materialized (in
+//! The probe leg reads through the scan's block-read loop
+//! ([`crate::scan`]): a [`adaptdb_storage::FetchStream`] of depth
+//! `ExecContext::fetch_window` pinned to the group's node, its
+//! completions handed back in plan order — so block counts and output
+//! are identical at every window (window 1 is the serial leg), only
+//! simulated latency overlaps. With `ExecContext::columnar` probe
+//! blocks stay lazily decoded: predicates evaluate column-wise into a
+//! selection bitset, the join key column alone is decoded for a batch
+//! probe, and only the matching probe rows are ever materialized (in
 //! morsel-sized gathers shared with the scan path).
 
 use adaptdb_common::{AttrId, BitSet, PredicateSet, Result, Row};
@@ -23,7 +24,7 @@ use adaptdb_storage::LazyBlock;
 use crate::context::ExecContext;
 use crate::hash_table::JoinHashTable;
 use crate::parallel;
-use crate::scan::{gather_morsels, select_lazy};
+use crate::scan::{gather_morsels, select_lazy, stream_blocks};
 
 /// Everything needed to execute one hyper-join.
 #[derive(Debug, Clone)]
@@ -138,32 +139,12 @@ fn run_group(
             ctx.clock.record_rows(scanned, kept);
         }
     }
+    // Stream the group's probe blocks from the group's node (untraced:
+    // groups run in parallel), probing each in plan order.
     let mut out = Vec::new();
-    if ctx.fetch_window > 1 && !probe_blocks.is_empty() {
-        // Overlap the probe leg: stream the group's probe blocks
-        // through a fetch window pinned to the group's node, slotting
-        // completions back into plan order before probing. Read counts
-        // and classification are identical to the serial leg.
-        let mut stream = ctx.store.fetch_stream(probe_table, ctx.clock, ctx.fetch_window);
-        for (i, &b) in probe_blocks.iter().enumerate() {
-            stream.push(b, Some(node), i as u64);
-        }
-        let mut slots: Vec<Option<LazyBlock>> = Vec::new();
-        slots.resize_with(probe_blocks.len(), || None);
-        while let Some(completion) = stream.next_completion() {
-            let c = completion?;
-            slots[c.tag as usize] = Some(c.payload);
-        }
-        for lazy in slots {
-            let lazy = lazy.expect("every pushed fetch completes");
-            probe_block(ctx, &table, lazy, probe_attr, probe_preds, build_side, &mut out)?;
-        }
-    } else {
-        for &b in probe_blocks {
-            let (lazy, _) = ctx.store.read_lazy_classified(probe_table, b, node, ctx.clock)?;
-            probe_block(ctx, &table, lazy, probe_attr, probe_preds, build_side, &mut out)?;
-        }
-    }
+    stream_blocks(ctx, probe_table, probe_blocks, Some(node), None, |lazy| {
+        probe_block(ctx, &table, lazy, probe_attr, probe_preds, build_side, &mut out)
+    })?;
     Ok(out)
 }
 
@@ -423,8 +404,9 @@ mod tests {
         }
     }
 
-    /// The pipelined probe leg records overlapped fetches; the serial
-    /// leg records none. Counts stay equal either way (pinned above).
+    /// The pipelined probe leg hides fetch latency; the window-1 leg
+    /// streams the same fetches but hides none. Counts stay equal
+    /// either way (pinned above).
     #[test]
     fn pipelined_probe_leg_overlaps_fetches() {
         let (store, left, right) = setup(64, 8);
@@ -447,7 +429,7 @@ mod tests {
         assert!(ov.fetches > 0, "probe blocks must go through the fetch stream");
         let c2 = SimClock::new();
         hyper_join(ExecContext::single(&store, &c2), spec).unwrap();
-        assert_eq!(c2.overlap_snapshot().fetches, 0);
+        assert_eq!(c2.overlap_snapshot().hidden(), 0);
     }
 
     #[test]

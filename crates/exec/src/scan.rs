@@ -1,12 +1,17 @@
 //! Type-1 block processing: scan + filter.
 //!
-//! With `ExecContext::fetch_window > 1` the scan issues
-//! **manifest-ordered prefetch**: each worker streams its share of the
-//! manifest through a pipelined [`adaptdb_storage::FetchStream`] (up to
-//! `fetch_window` reads in flight, overlapped latency charged
-//! max-of-window) and reassembles completions back into manifest order,
-//! so pipelining changes simulated wall-clock but never row order,
-//! counts, or results.
+//! Block lists are read through one loop, `stream_blocks`: one
+//! [`adaptdb_storage::FetchStream`] of depth `ExecContext::fetch_window`
+//! per reader, its out-of-order completions (locals before remotes
+//! within a window) handed back to a per-block closure in manifest
+//! order. The row and columnar scans split the manifest into one
+//! contiguous chunk per worker and differ only in that closure; the
+//! hyper-join probe leg streams one chunk pinned to its group's node.
+//! Window 1 is the serial case — a one-deep stream through the same
+//! code, every read charged in full and no latency hidden — and deeper
+//! windows only overlap latency (charged max-of-window), so pipelining
+//! changes simulated wall-clock but never row order, counts, or
+//! results.
 //!
 //! With `ExecContext::columnar` the filter stage switches from
 //! row-at-a-time to **late materialization**: predicates evaluate
@@ -22,6 +27,7 @@
 //! count are bit-identical with the feature on or off.
 
 use adaptdb_common::{BitSet, BlockId, PredicateSet, Result, Row};
+use adaptdb_dfs::{NodeId, TraceCtx};
 use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
@@ -76,64 +82,88 @@ fn scan_inner(
         ctx.clock.record_zone_skips(skipped);
     }
     if ctx.columnar {
-        return scan_columnar(ctx, table, to_read, preds);
+        // Stage A: lazy read + column-wise selection; stage B gathers
+        // only the selected rows.
+        let selected = read_chunked(ctx, table, &to_read, |lazy| {
+            let sel = select_lazy(&lazy, preds)?;
+            ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
+            Ok((lazy, sel))
+        })?;
+        return gather_morsels(ctx, &selected);
     }
-    if ctx.fetch_window > 1 {
-        return scan_pipelined(ctx, table, to_read, preds);
-    }
-    let results = parallel::map_ordered(to_read, ctx.threads, |b| -> Result<Vec<Row>> {
-        let node = ctx.store.preferred_node(table, b)?;
-        let block = ctx.store.read_block(table, b, node, ctx.clock)?;
+    let kept = read_chunked(ctx, table, &to_read, |lazy| {
+        let block = lazy.into_block()?;
         let scanned = block.rows.len();
         let rows: Vec<Row> = block.rows.into_iter().filter(|r| preds.matches(r)).collect();
         ctx.clock.record_rows(scanned, rows.len());
         Ok(rows)
+    })?;
+    Ok(kept.into_iter().flatten().collect())
+}
+
+/// Read `blocks` of `table` as one contiguous chunk per worker, each
+/// chunk through [`stream_blocks`] at the blocks' preferred nodes (a
+/// locality-scheduled scan), and map every payload with `per_block`.
+/// Results come back in manifest order at any thread count or window.
+fn read_chunked<T: Send>(
+    ctx: ExecContext<'_>,
+    table: &str,
+    blocks: &[BlockId],
+    per_block: impl Fn(LazyBlock) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    if blocks.is_empty() {
+        return Ok(Vec::new());
+    }
+    let chunk_len = blocks.len().div_ceil(ctx.threads.max(1));
+    let chunks: Vec<&[BlockId]> = blocks.chunks(chunk_len).collect();
+    let results = parallel::map_ordered(chunks, ctx.threads, |chunk| -> Result<Vec<T>> {
+        let mut out = Vec::with_capacity(chunk.len());
+        stream_blocks(ctx, table, chunk, None, ctx.worker_trace(), |lazy| {
+            out.push(per_block(lazy)?);
+            Ok(())
+        })?;
+        Ok(out)
     });
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(blocks.len());
     for r in results {
         out.extend(r?);
     }
     Ok(out)
 }
 
-/// Pipelined scan body: split the manifest into one contiguous chunk
-/// per worker; each worker multiplexes its chunk through a fetch
-/// stream (reads issue at the block's preferred node, exactly like the
-/// serial scan) and slots completions back into manifest order.
-fn scan_pipelined(
-    ctx: ExecContext<'_>,
+/// The executor's one block-read loop: push every block of `blocks`
+/// onto a [`adaptdb_storage::FetchStream`] of depth
+/// `ctx.fetch_window`, read at `reader` (`None` = each block's
+/// preferred node), and hand each payload to `per_block` in list order.
+/// A completion that overtakes an earlier block waits in its slot until
+/// every block before it has been handed over. `trace` records a
+/// `fetch-window` span per issued window (single-threaded callers only,
+/// see [`ExecContext::worker_trace`]).
+pub(crate) fn stream_blocks<'a>(
+    ctx: ExecContext<'a>,
     table: &str,
-    to_read: Vec<BlockId>,
-    preds: &PredicateSet,
-) -> Result<Vec<Row>> {
-    if to_read.is_empty() {
-        return Ok(Vec::new());
+    blocks: &[BlockId],
+    reader: Option<NodeId>,
+    trace: Option<TraceCtx<'a>>,
+    mut per_block: impl FnMut(LazyBlock) -> Result<()>,
+) -> Result<()> {
+    let mut stream = ctx.store.fetch_stream(table, ctx.clock, ctx.fetch_window);
+    stream.set_trace(trace);
+    for (i, &b) in blocks.iter().enumerate() {
+        stream.push(b, reader, i as u64);
     }
-    let chunk_len = to_read.len().div_ceil(ctx.threads.max(1));
-    let chunks: Vec<Vec<BlockId>> = to_read.chunks(chunk_len).map(<[BlockId]>::to_vec).collect();
-    let results = parallel::map_ordered(chunks, ctx.threads, |chunk| -> Result<Vec<Row>> {
-        let mut stream = ctx.store.fetch_stream(table, ctx.clock, ctx.fetch_window);
-        stream.set_trace(ctx.worker_trace());
-        for (i, &b) in chunk.iter().enumerate() {
-            stream.push(b, None, i as u64);
+    let mut slots: Vec<Option<LazyBlock>> = Vec::new();
+    slots.resize_with(blocks.len(), || None);
+    let mut next = 0;
+    while let Some(completion) = stream.next_completion() {
+        let c = completion?;
+        slots[c.tag as usize] = Some(c.payload);
+        while let Some(lazy) = slots.get_mut(next).and_then(Option::take) {
+            per_block(lazy)?;
+            next += 1;
         }
-        let mut slots: Vec<Vec<Row>> = vec![Vec::new(); chunk.len()];
-        while let Some(completion) = stream.next_completion() {
-            let c = completion?;
-            let tag = c.tag;
-            let block = c.into_block()?;
-            let scanned = block.rows.len();
-            let rows: Vec<Row> = block.rows.into_iter().filter(|r| preds.matches(r)).collect();
-            ctx.clock.record_rows(scanned, rows.len());
-            slots[tag as usize] = rows;
-        }
-        Ok(slots.concat())
-    });
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Evaluate `preds` column-wise over a lazily-decoded block: decode
@@ -150,69 +180,6 @@ pub(crate) fn select_lazy(lazy: &LazyBlock, preds: &PredicateSet) -> Result<BitS
         sel.intersect_with(&col.eval(p.op, &p.value));
     }
     Ok(sel)
-}
-
-/// Columnar scan body: stage A reads blocks lazily (serial reads or a
-/// pipelined fetch stream, exactly mirroring the row path's I/O shape)
-/// and evaluates predicates into per-block selection bitsets; stage B
-/// flattens the selected blocks into `morsel_rows`-sized row ranges and
-/// gathers only selected rows, morsels dispatched through
-/// [`parallel::map_ordered`] so output order equals manifest order.
-fn scan_columnar(
-    ctx: ExecContext<'_>,
-    table: &str,
-    to_read: Vec<BlockId>,
-    preds: &PredicateSet,
-) -> Result<Vec<Row>> {
-    if to_read.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Stage A: lazy read + column-wise selection, manifest order.
-    let selected: Vec<(LazyBlock, BitSet)> = if ctx.fetch_window > 1 {
-        let chunk_len = to_read.len().div_ceil(ctx.threads.max(1));
-        let chunks: Vec<Vec<BlockId>> =
-            to_read.chunks(chunk_len).map(<[BlockId]>::to_vec).collect();
-        let results = parallel::map_ordered(
-            chunks,
-            ctx.threads,
-            |chunk| -> Result<Vec<(LazyBlock, BitSet)>> {
-                let mut stream = ctx.store.fetch_stream(table, ctx.clock, ctx.fetch_window);
-                stream.set_trace(ctx.worker_trace());
-                for (i, &b) in chunk.iter().enumerate() {
-                    stream.push(b, None, i as u64);
-                }
-                let mut slots: Vec<Option<(LazyBlock, BitSet)>> = Vec::new();
-                slots.resize_with(chunk.len(), || None);
-                while let Some(completion) = stream.next_completion() {
-                    let c = completion?;
-                    let sel = select_lazy(&c.payload, preds)?;
-                    ctx.clock.record_rows(c.payload.row_count(), sel.count_ones());
-                    slots[c.tag as usize] = Some((c.payload, sel));
-                }
-                Ok(slots.into_iter().map(|s| s.expect("every pushed fetch completes")).collect())
-            },
-        );
-        let mut flat = Vec::with_capacity(to_read.len());
-        for r in results {
-            flat.extend(r?);
-        }
-        flat
-    } else {
-        let results =
-            parallel::map_ordered(to_read, ctx.threads, |b| -> Result<(LazyBlock, BitSet)> {
-                let node = ctx.store.preferred_node(table, b)?;
-                let (lazy, _) = ctx.store.read_lazy_classified(table, b, node, ctx.clock)?;
-                let sel = select_lazy(&lazy, preds)?;
-                ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
-                Ok((lazy, sel))
-            });
-        let mut flat = Vec::new();
-        for r in results {
-            flat.push(r?);
-        }
-        flat
-    };
-    gather_morsels(ctx, &selected)
 }
 
 /// Stage B of columnar execution, shared with the hyper-join probe leg:

@@ -130,11 +130,7 @@ fn traced_reduce(
 /// identical data: blocks are immutable and ids never reused, so the
 /// sorted block list pins the snapshot epoch.
 fn build_key(spec: &ShuffleJoinSpec<'_>, partitions: usize, build_left: bool) -> BuildKey {
-    let (table, blocks, attr, preds) = if build_left {
-        (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
-    } else {
-        (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
-    };
+    let (table, blocks, attr, preds) = side_of(spec, build_left);
     let mut ids = blocks.to_vec();
     ids.sort_unstable();
     BuildKey {
@@ -190,11 +186,11 @@ pub fn shuffle_join(ctx: ExecContext<'_>, spec: ShuffleJoinSpec<'_>) -> Result<V
             for _ in 0..hot.spill_blocks {
                 ctx.clock.record_cache_hit(ReadKind::Local, 0);
             }
-            hot_exchange(&svc, ctx, &spec, build_left, &hot)
+            hot_exchange(&svc, &spec, build_left, &hot)
         }
         None => {
             let mut collected = cache.as_ref().map(|_| vec![Vec::new(); svc.partitions()]);
-            let out = cold_exchange(&svc, ctx, &spec, build_left, collected.as_deref_mut());
+            let out = cold_exchange(&svc, &spec, build_left, collected.as_deref_mut());
             match out {
                 Ok((rows, build_side)) => {
                     if let (Some(c), Some(k), Some(collected), Some(side)) =
@@ -217,14 +213,12 @@ pub fn shuffle_join(ctx: ExecContext<'_>, spec: ShuffleJoinSpec<'_>) -> Result<V
     result
 }
 
-/// The cold (no hot build) exchange: today's serial or pipelined data
-/// flow, optionally capturing the build side's per-partition rows into
-/// `collect` so the hot-build cache can retain them. Returns the joined
-/// rows plus the build side (for its histogram and spill footprint)
-/// when collection was requested.
+/// The cold (no hot build) exchange, optionally capturing the build
+/// side's per-partition rows into `collect` so the hot-build cache can
+/// retain them. Returns the joined rows plus the build side (for its
+/// histogram and spill footprint) when collection was requested.
 fn cold_exchange<'a>(
     svc: &ShuffleService<'a>,
-    ctx: ExecContext<'a>,
     spec: &ShuffleJoinSpec<'_>,
     build_left: bool,
     collect: Option<&mut [Vec<Row>]>,
@@ -235,11 +229,7 @@ fn cold_exchange<'a>(
     // Spill one side; the build side also feeds the collector and
     // records its `ShuffledSide` for the caller.
     let spill = |on_task: &mut dyn FnMut(&ShuffledSide), left: bool| -> Result<ShuffledSide> {
-        let (table, blocks, attr, preds) = if left {
-            (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
-        } else {
-            (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
-        };
+        let (table, blocks, attr, preds) = side_of(spec, left);
         let is_build = left == build_left && want_build;
         let mut guard = collect.borrow_mut();
         let c = if is_build { guard.as_deref_mut() } else { None };
@@ -250,31 +240,14 @@ fn cold_exchange<'a>(
         }
         Ok(side)
     };
-    let rows = if ctx.fetch_window > 1 {
-        pipelined_exchange(
-            svc,
-            ctx.threads,
-            spec.left_attr,
-            spec.right_attr,
-            |_, on_task| spill(on_task, true),
-            |_, on_task| spill(on_task, false),
-            None,
-        )
-    } else {
-        (|| {
-            let (left, right) = {
-                let (_mctx, mspan) = ctx.traced("map-spill");
-                let before = mspan.as_ref().map(|_| ctx.clock.shuffle_snapshot());
-                let left = spill(&mut |_| {}, true)?;
-                let right = spill(&mut |_| {}, false)?;
-                annotate_map(&mspan, ctx.clock, before);
-                (left, right)
-            };
-            traced_reduce(ctx, || {
-                reduce_join(svc, ctx.threads, &left, &right, spec.left_attr, spec.right_attr, None)
-            })
-        })()
-    }?;
+    let rows = exchange(
+        svc,
+        spec.left_attr,
+        spec.right_attr,
+        |on_task| spill(on_task, true),
+        |on_task| spill(on_task, false),
+        None,
+    )?;
     Ok((rows, build_out.into_inner()))
 }
 
@@ -285,83 +258,56 @@ fn cold_exchange<'a>(
 /// produced), so the plan matches the cold run's.
 fn hot_exchange<'a>(
     svc: &ShuffleService<'a>,
-    ctx: ExecContext<'a>,
     spec: &ShuffleJoinSpec<'_>,
     build_left: bool,
     hot: &HotBuild,
 ) -> Result<Vec<Row>> {
-    let fabricated =
-        ShuffledSide { runs: vec![Vec::new(); svc.partitions()], rows: hot.hist.clone() };
-    let spill_other = |on_task: &mut dyn FnMut(&ShuffledSide)| -> Result<ShuffledSide> {
-        let (table, blocks, attr, preds) = if build_left {
-            (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
-        } else {
-            (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
-        };
-        svc.spill_blocks_observed(table, blocks, attr, preds, on_task)
-    };
-    if ctx.fetch_window > 1 {
-        if build_left {
-            pipelined_exchange(
-                svc,
-                ctx.threads,
-                spec.left_attr,
-                spec.right_attr,
-                |_, _| Ok(fabricated),
-                |_, on_task| spill_other(on_task),
-                Some((hot, true)),
-            )
-        } else {
-            pipelined_exchange(
-                svc,
-                ctx.threads,
-                spec.left_attr,
-                spec.right_attr,
-                |_, on_task| spill_other(on_task),
-                |_, _| Ok(fabricated),
-                Some((hot, false)),
-            )
+    let spill = |on_task: &mut dyn FnMut(&ShuffledSide), left: bool| -> Result<ShuffledSide> {
+        if left == build_left {
+            return Ok(ShuffledSide {
+                runs: vec![Vec::new(); svc.partitions()],
+                rows: hot.hist.clone(),
+            });
         }
+        let (table, blocks, attr, preds) = side_of(spec, left);
+        svc.spill_blocks_collecting(table, blocks, attr, preds, on_task, None)
+    };
+    exchange(
+        svc,
+        spec.left_attr,
+        spec.right_attr,
+        |on_task| spill(on_task, true),
+        |on_task| spill(on_task, false),
+        Some((hot, build_left)),
+    )
+}
+
+/// One side of a join spec: `(table, blocks, attr, preds)`.
+fn side_of<'s>(
+    spec: &ShuffleJoinSpec<'s>,
+    left: bool,
+) -> (&'s str, &'s [BlockId], AttrId, &'s PredicateSet) {
+    if left {
+        (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
     } else {
-        let (left, right) = {
-            let (_mctx, mspan) = ctx.traced("map-spill");
-            let before = mspan.as_ref().map(|_| ctx.clock.shuffle_snapshot());
-            let other = spill_other(&mut |_| {})?;
-            annotate_map(&mspan, ctx.clock, before);
-            if build_left {
-                (fabricated, other)
-            } else {
-                (other, fabricated)
-            }
-        };
-        traced_reduce(ctx, || {
-            reduce_join(
-                svc,
-                ctx.threads,
-                &left,
-                &right,
-                spec.left_attr,
-                spec.right_attr,
-                Some((hot, build_left)),
-            )
-        })
+        (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
     }
 }
 
-/// The pipelined exchange: per-reducer [`adaptdb_storage::FetchStream`]s
-/// are created *before* the map phases, each map task's finished runs
-/// are pushed the moment the task completes (so reducer prefetch
-/// overlaps the rest of the map phase), and reducers drain their
-/// streams — up to `fetch_window` fetches in flight, charged
-/// max-of-window — before hash-joining. Byte/block counts and the
-/// joined row multiset are identical to the serial exchange.
-fn pipelined_exchange<'a>(
+/// The exchange every shuffle runs: per-reducer
+/// [`adaptdb_storage::FetchStream`]s are created *before* the map
+/// phases, each map task's finished runs are pushed the moment the task
+/// completes (so reducer prefetch overlaps the rest of the map phase),
+/// and reducers drain their streams — up to `fetch_window` fetches in
+/// flight, charged max-of-window — before hash-joining. Window 1 is the
+/// serial exchange; byte/block counts and the joined row multiset are
+/// identical at every window.
+fn exchange<'a>(
     svc: &ShuffleService<'a>,
-    threads: usize,
     left_attr: AttrId,
     right_attr: AttrId,
-    spill_left: impl FnOnce(&ShuffleService<'a>, &mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
-    spill_right: impl FnOnce(&ShuffleService<'a>, &mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
+    spill_left: impl FnOnce(&mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
+    spill_right: impl FnOnce(&mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
     hot: Option<(&HotBuild, bool)>,
 ) -> Result<Vec<Row>> {
     let ctx = svc.ctx();
@@ -378,11 +324,10 @@ fn pipelined_exchange<'a>(
         let (_mctx, mspan) = ctx.traced("map-spill");
         let before = mspan.as_ref().map(|_| ctx.clock.shuffle_snapshot());
         let mut seen = vec![0usize; svc.partitions()];
-        let left =
-            spill_left(svc, &mut |side| svc.push_new_runs(&mut streams, side, &mut seen, false))?;
+        let left = spill_left(&mut |side| svc.push_new_runs(&mut streams, side, &mut seen, false))?;
         seen.fill(0);
         let right =
-            spill_right(svc, &mut |side| svc.push_new_runs(&mut streams, side, &mut seen, true))?;
+            spill_right(&mut |side| svc.push_new_runs(&mut streams, side, &mut seen, true))?;
         annotate_map(&mspan, ctx.clock, before);
         (left, right)
     };
@@ -394,7 +339,7 @@ fn pipelined_exchange<'a>(
     traced_reduce(ctx, || {
         let tasks: Vec<_> = streams.into_iter().enumerate().collect();
         let results =
-            parallel::map_ordered(tasks, threads, |(p, mut stream)| -> Result<Vec<Row>> {
+            parallel::map_ordered(tasks, ctx.threads, |(p, mut stream)| -> Result<Vec<Row>> {
                 let (mut l, mut r) = svc.drain_partition(&mut stream)?;
                 if let Some((build, build_left)) = hot {
                     // The hot side announced no runs, so its drained
@@ -415,46 +360,11 @@ fn pipelined_exchange<'a>(
     })
 }
 
-/// Reduce phase shared by the block- and row-input shuffles: each
-/// reducer fetches both sides' runs for its partition and hash-joins
-/// them under the context's memory budget, splitting hot partitions
-/// per the histogram-driven plan. Partitions run in parallel; output
-/// order is partition order.
-#[allow(clippy::too_many_arguments)]
-fn reduce_join(
-    svc: &ShuffleService<'_>,
-    threads: usize,
-    left: &ShuffledSide,
-    right: &ShuffledSide,
-    left_attr: AttrId,
-    right_attr: AttrId,
-    hot: Option<(&HotBuild, bool)>,
-) -> Result<Vec<Row>> {
-    let plan = svc.split_plan(left, right);
-    let tasks: Vec<usize> = (0..svc.partitions()).collect();
-    let results = parallel::map_ordered(tasks, threads, |p| -> Result<Vec<Row>> {
-        match hot {
-            None => reduce_partition(svc, p, plan[p], left, right, left_attr, right_attr),
-            Some((build, build_left)) => {
-                // The hot side spilled no runs; its rows come straight
-                // from the retained build instead of a fetch.
-                let l = if build_left { build.rows[p].clone() } else { svc.fetch(p, left)? };
-                let r = if build_left { svc.fetch(p, right)? } else { build.rows[p].clone() };
-                join_partition(svc, p, plan[p], l, r, left_attr, right_attr, left, right)
-            }
-        }
-    });
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
-}
-
-/// One reduce task: fetch both sides of partition `p` and join them
-/// under the memory budget, fanning out over `split_k` sub-tasks when
-/// the split plan marked the partition heavy. Public so benchmarks can
-/// run reduce tasks one at a time and read per-task clock deltas.
+/// One reduce task: stream both sides' runs of partition `p` from its
+/// reducer node and join them under the memory budget, fanning out
+/// over `split_k` sub-tasks when the split plan marked the partition
+/// heavy. Public so benchmarks can run reduce tasks one at a time and
+/// read per-task clock deltas.
 pub fn reduce_partition(
     svc: &ShuffleService<'_>,
     p: usize,
@@ -464,13 +374,15 @@ pub fn reduce_partition(
     left_attr: AttrId,
     right_attr: AttrId,
 ) -> Result<Vec<Row>> {
-    let l = svc.fetch(p, left)?;
-    let r = svc.fetch(p, right)?;
+    let mut stream = svc.run_stream();
+    svc.push_runs(&mut stream, p, &left.runs[p], false);
+    svc.push_runs(&mut stream, p, &right.runs[p], true);
+    let (l, r) = svc.drain_partition(&mut stream)?;
     join_partition(svc, p, split_k, l, r, left_attr, right_attr, left, right)
 }
 
-/// Join one partition's fetched rows, shared by the serial and
-/// pipelined exchanges so their accounting is identical.
+/// Join one partition's fetched rows, shared by [`exchange`] and
+/// [`reduce_partition`] so their accounting is identical.
 ///
 /// Unsplit (`split_k <= 1`): one budgeted join. Split: the bigger side
 /// is divided round-robin over `split_k` sub-tasks, each of which
@@ -709,31 +621,14 @@ pub fn shuffle_join_rows(
         rows_per_block,
         "mid",
     )?;
-    let result = if ctx.fetch_window > 1 {
-        pipelined_exchange(
-            &svc,
-            ctx.threads,
-            left_attr,
-            right_attr,
-            |svc, on_task| svc.spill_rows_observed(left, left_attr, on_task),
-            |svc, on_task| svc.spill_rows_observed(right, right_attr, on_task),
-            None,
-        )
-    } else {
-        (|| {
-            let (l, r) = {
-                let (_mctx, mspan) = ctx.traced("map-spill");
-                let before = mspan.as_ref().map(|_| ctx.clock.shuffle_snapshot());
-                let l = svc.spill_rows(left, left_attr)?;
-                let r = svc.spill_rows(right, right_attr)?;
-                annotate_map(&mspan, ctx.clock, before);
-                (l, r)
-            };
-            traced_reduce(ctx, || {
-                reduce_join(&svc, ctx.threads, &l, &r, left_attr, right_attr, None)
-            })
-        })()
-    };
+    let result = exchange(
+        &svc,
+        left_attr,
+        right_attr,
+        |on_task| svc.spill_rows(left, left_attr, on_task),
+        |on_task| svc.spill_rows(right, right_attr, on_task),
+        None,
+    );
     svc.cleanup();
     drop(span);
     result

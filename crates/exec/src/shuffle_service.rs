@@ -28,15 +28,17 @@
 //! dropped wholesale when the join finishes, so concurrent queries on a
 //! shared store never collide.
 //!
-//! **Pipelining.** With `ExecContext::fetch_window > 1` the exchange is
-//! streamed: map-side runs become visible to reducers as each map task
-//! finishes ([`ShuffleService::spill_blocks_observed`] announces every
-//! task's new runs), and each reducer fetches its runs through a
-//! [`FetchStream`] — up to `fetch_window` fetches in flight, remote
+//! **Pipelining.** The exchange is always streamed: map-side runs
+//! become visible to reducers as each map task finishes
+//! ([`ShuffleService::spill_blocks_collecting`] announces every task's
+//! new runs), and each reducer fetches its runs through a
+//! [`FetchStream`] of depth `ExecContext::fetch_window`, remote
 //! transfers overlapping local reads, charged max-of-window on the
-//! clock's [`adaptdb_common::OverlapStats`] breakdown. Block counts and
-//! row results are identical to the serial exchange; only simulated
-//! fetch latency shrinks.
+//! clock's [`adaptdb_common::OverlapStats`] breakdown. Window 1 is the
+//! serial exchange — a one-deep stream through the same code, every
+//! fetch charged in full and nothing hidden; deeper windows leave block
+//! counts and row results unchanged and only shrink simulated fetch
+//! latency.
 
 #![warn(missing_docs)]
 
@@ -140,34 +142,23 @@ impl<'a> ShuffleService<'a> {
         attr: AttrId,
         preds: &PredicateSet,
     ) -> Result<ShuffledSide> {
-        self.spill_blocks_observed(table, blocks, attr, preds, &mut |_| {})
+        self.spill_blocks_collecting(table, blocks, attr, preds, &mut |_| {}, None)
     }
 
     /// [`ShuffleService::spill_blocks`] with streamed run visibility:
     /// `on_task` is invoked after **each map task** finishes, with the
     /// side accumulated so far — runs spilled by completed tasks are
-    /// already real DFS blocks at that point, so a pipelined reducer
-    /// can begin prefetching them while later map tasks still execute
-    /// (instead of waiting for the whole map phase, the serial
-    /// behavior). Runs lists only ever grow, so observers track a
-    /// per-partition high-water mark to find the new entries.
-    pub fn spill_blocks_observed(
-        &self,
-        table: &str,
-        blocks: &[BlockId],
-        attr: AttrId,
-        preds: &PredicateSet,
-        on_task: &mut dyn FnMut(&ShuffledSide),
-    ) -> Result<ShuffledSide> {
-        self.spill_blocks_collecting(table, blocks, attr, preds, on_task, None)
-    }
-
-    /// [`ShuffleService::spill_blocks_observed`] that additionally
-    /// copies every routed row into `collect[partition]` — the exact
-    /// per-partition row sets the reducers will fetch, captured for
-    /// free during the map phase (no extra I/O, the rows pass through
-    /// the mapper anyway). The hot-build cache retains them so a later
-    /// identical shuffle can skip this side's spill *and* fetch.
+    /// already real DFS blocks at that point, so a reducer stream can
+    /// begin prefetching them while later map tasks still execute.
+    /// Runs lists only ever grow, so observers track a per-partition
+    /// high-water mark to find the new entries.
+    ///
+    /// With `collect`, every routed row is also copied into
+    /// `collect[partition]` — the exact per-partition row sets the
+    /// reducers will fetch, captured for free during the map phase (no
+    /// extra I/O, the rows pass through the mapper anyway). The
+    /// hot-build cache retains them so a later identical shuffle can
+    /// skip this side's spill *and* fetch.
     pub fn spill_blocks_collecting(
         &self,
         table: &str,
@@ -211,16 +202,9 @@ impl<'a> ShuffleService<'a> {
     /// results in multi-way plans, §4.3). The rows are treated as
     /// distributed across the live nodes — contiguous slices per node,
     /// as the previous phase's reducers would have left them — then
-    /// spilled exactly like [`ShuffleService::spill_blocks`].
-    pub fn spill_rows(&self, rows: Vec<Row>, attr: AttrId) -> Result<ShuffledSide> {
-        self.spill_rows_observed(rows, attr, &mut |_| {})
-    }
-
-    /// [`ShuffleService::spill_rows`] with streamed run visibility —
-    /// the row-input counterpart of
-    /// [`ShuffleService::spill_blocks_observed`]: `on_task` fires after
-    /// each node's map task spills.
-    pub fn spill_rows_observed(
+    /// spilled exactly like [`ShuffleService::spill_blocks`], with
+    /// `on_task` firing after each node's map task spills.
+    pub fn spill_rows(
         &self,
         rows: Vec<Row>,
         attr: AttrId,
@@ -290,32 +274,17 @@ impl<'a> ShuffleService<'a> {
         alive[(start + j) % alive.len()]
     }
 
-    /// Reduce-side fetch of one partition's runs: every run block is
-    /// read from the reducer's node, classified local/remote by the
-    /// DFS, and tagged on the shuffle breakdown.
-    pub fn fetch(&self, partition: usize, side: &ShuffledSide) -> Result<Vec<Row>> {
-        let node = self.reducer_node(partition);
-        let mut rows = Vec::new();
-        for &id in &side.runs[partition] {
-            let (block, kind) =
-                self.ctx.store.read_block_classified(&self.scratch, id, node, self.ctx.clock)?;
-            self.ctx.clock.record_shuffle_fetch(kind);
-            rows.extend(block.rows);
-        }
-        Ok(rows)
+    /// One [`FetchStream`] per reducer, each of the context's
+    /// `fetch_window` in-flight depth. Fill them with
+    /// [`ShuffleService::push_new_runs`] as map tasks announce runs,
+    /// then drain with [`ShuffleService::drain_partition`].
+    pub fn partition_streams(&self) -> Vec<FetchStream<'a>> {
+        (0..self.partitions).map(|_| self.run_stream()).collect()
     }
 
-    /// One pipelined [`FetchStream`] per reducer, each reading from its
-    /// reducer's node with the context's `fetch_window` in-flight
-    /// depth. Fill them with [`ShuffleService::push_new_runs`] as map
-    /// tasks announce runs, then drain with
-    /// [`ShuffleService::drain_partition`].
-    pub fn partition_streams(&self) -> Vec<FetchStream<'a>> {
-        (0..self.partitions)
-            .map(|_| {
-                self.ctx.store.fetch_stream(&self.scratch, self.ctx.clock, self.ctx.fetch_window)
-            })
-            .collect()
+    /// One reducer fetch stream over this shuffle's scratch table.
+    pub(crate) fn run_stream(&self) -> FetchStream<'a> {
+        self.ctx.store.fetch_stream(&self.scratch, self.ctx.clock, self.ctx.fetch_window)
     }
 
     /// Push every run `side` has announced beyond `seen`'s per-partition
@@ -331,12 +300,24 @@ impl<'a> ShuffleService<'a> {
         right: bool,
     ) {
         for (p, runs) in side.runs.iter().enumerate() {
-            let node = self.reducer_node(p);
-            for &id in &runs[seen[p]..] {
-                let tag = if right { RIGHT_SIDE_TAG | id as u64 } else { id as u64 };
-                streams[p].push(id, Some(node), tag);
-            }
+            self.push_runs(&mut streams[p], p, &runs[seen[p]..], right);
             seen[p] = runs.len();
+        }
+    }
+
+    /// Push `runs` of partition `partition` onto `stream`, read from
+    /// the partition's reducer node and tagged with their side.
+    pub(crate) fn push_runs(
+        &self,
+        stream: &mut FetchStream<'a>,
+        partition: usize,
+        runs: &[BlockId],
+        right: bool,
+    ) {
+        let node = self.reducer_node(partition);
+        for &id in runs {
+            let tag = if right { RIGHT_SIDE_TAG | id as u64 } else { id as u64 };
+            stream.push(id, Some(node), tag);
         }
     }
 
@@ -548,6 +529,14 @@ mod tests {
         (store, ids)
     }
 
+    /// Every reducer drains its runs of `side` through its fetch
+    /// stream; returns all fetched rows in partition order.
+    fn fetch_all(svc: &ShuffleService<'_>, side: &ShuffledSide) -> Vec<Row> {
+        let mut streams = svc.partition_streams();
+        svc.push_new_runs(&mut streams, side, &mut vec![0; svc.partitions()], false);
+        streams.iter_mut().flat_map(|s| svc.drain_partition(s).unwrap().0).collect()
+    }
+
     #[test]
     fn runs_land_on_mapper_nodes_and_fetches_classify() {
         let (store, ids) = setup(4, 400, 100);
@@ -579,11 +568,7 @@ mod tests {
         assert!(local > 0, "some reducer shares a node with a mapper");
         assert!(remote > 0, "cross-node runs must fetch remotely");
         // Now actually fetch and compare the clock's classification.
-        let mut total = 0usize;
-        for p in 0..svc.partitions() {
-            total += svc.fetch(p, &side).unwrap().len();
-        }
-        assert_eq!(total, 400, "shuffle conserves rows");
+        assert_eq!(fetch_all(&svc, &side).len(), 400, "shuffle conserves rows");
         let sh = clock.shuffle_snapshot();
         assert_eq!(sh.local_fetches, local);
         assert_eq!(sh.remote_fetches, remote);
@@ -611,9 +596,7 @@ mod tests {
         assert_eq!(sh.runs_written, 0);
         assert_eq!(sh.blocks_spilled, 0);
         // Fetch of an empty side charges nothing either.
-        for p in 0..svc.partitions() {
-            assert!(svc.fetch(p, &side).unwrap().is_empty());
-        }
+        assert!(fetch_all(&svc, &side).is_empty());
         assert_eq!(clock.shuffle_snapshot().fetches(), 0);
         svc.cleanup();
     }
@@ -643,18 +626,14 @@ mod tests {
         let ctx = ExecContext::single(&store, &clock);
         let svc = ShuffleService::new(ctx, 4, 10, "mid").unwrap();
         let rows: Vec<Row> = (0..100i64).map(|i| row![i]).collect();
-        let side = svc.spill_rows(rows, 0).unwrap();
-        let mut got = 0usize;
-        for p in 0..svc.partitions() {
-            got += svc.fetch(p, &side).unwrap().len();
-        }
-        assert_eq!(got, 100);
+        let side = svc.spill_rows(rows, 0, &mut |_| {}).unwrap();
+        assert_eq!(fetch_all(&svc, &side).len(), 100);
         let sh = clock.shuffle_snapshot();
         // 4 mapper nodes × up to 4 partitions each.
         assert!(sh.runs_written > 4, "intermediates spread over nodes: {}", sh.runs_written);
         assert!(sh.remote_fetches > 0, "cross-node intermediates fetch remotely");
         // Empty input is free.
-        let empty = svc.spill_rows(Vec::new(), 0).unwrap();
+        let empty = svc.spill_rows(Vec::new(), 0, &mut |_| {}).unwrap();
         assert!(empty.runs.iter().all(Vec::is_empty));
         svc.cleanup();
     }
@@ -666,9 +645,7 @@ mod tests {
         let ctx = ExecContext::single(&store, &clock);
         let svc = ShuffleService::new(ctx, 4, 10, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
-        for p in 0..svc.partitions() {
-            svc.fetch(p, &side).unwrap();
-        }
+        fetch_all(&svc, &side);
         let sh = clock.shuffle_snapshot();
         assert_eq!(sh.remote_fetches, 0);
         assert_eq!(sh.locality_fraction(), 1.0);
@@ -682,9 +659,7 @@ mod tests {
         let base = ExecContext::single(&store, &c1);
         let svc = ShuffleService::new(base, 4, 100, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
-        for p in 0..4 {
-            svc.fetch(p, &side).unwrap();
-        }
+        fetch_all(&svc, &side);
         let lone = c1.shuffle_snapshot().locality_fraction();
         svc.cleanup();
 
@@ -696,9 +671,7 @@ mod tests {
         });
         let svc = ShuffleService::new(full, 4, 100, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
-        for p in 0..4 {
-            svc.fetch(p, &side).unwrap();
-        }
+        fetch_all(&svc, &side);
         let everywhere = c2.shuffle_snapshot().locality_fraction();
         svc.cleanup();
         assert!(lone < 1.0);
@@ -724,11 +697,7 @@ mod tests {
         let svc = ShuffleService::new(ctx, 3, 10, "t").unwrap();
         assert!(svc.reducer_nodes().iter().all(|n| *n != 0), "reducer on dead node");
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
-        let mut rows = 0usize;
-        for p in 0..svc.partitions() {
-            rows += svc.fetch(p, &side).unwrap().len();
-        }
-        assert_eq!(rows, 80);
+        assert_eq!(fetch_all(&svc, &side).len(), 80);
         // Runs were written on live nodes only.
         let dfs = store.dfs();
         for runs in &side.runs {

@@ -131,6 +131,9 @@ pub(crate) struct Shared {
     maint_backlog: AtomicU64,
     /// Passes in which pacing deferred part of the inbox.
     maint_deferrals: AtomicU64,
+    /// Maintenance steps (observation, adaptation, GC delete) that
+    /// failed; see [`Shared::note_maintenance_error`].
+    maint_errors: AtomicU64,
     /// Grace entries (retired-block batches) still awaiting reader
     /// drain — a gauge the maintenance loop refreshes every pass.
     pending_gc: AtomicU64,
@@ -253,6 +256,23 @@ impl Shared {
     /// (maintenance folds them into its grace entry).
     pub(crate) fn take_append_guards(&self) -> Vec<Arc<TableSnapshot>> {
         std::mem::take(&mut self.append_guards.lock())
+    }
+
+    /// Count a failed maintenance step and journal it as a
+    /// `maintenance-error` event carrying the error text. The pass
+    /// carries on with the next observation or block.
+    pub(crate) fn note_maintenance_error(&self, step: &str, err: &adaptdb_common::Error) {
+        self.maint_errors.fetch_add(1, Ordering::SeqCst);
+        if let Some(j) = self.journal() {
+            j.event(
+                self.journal_ts_us(),
+                "maintenance-error",
+                vec![
+                    ("step".into(), adaptdb_common::AttrValue::Str(step.to_string())),
+                    ("error".into(), adaptdb_common::AttrValue::Str(err.to_string())),
+                ],
+            );
+        }
     }
 
     pub(crate) fn note_pass(&self, processed: usize, pending_gc: usize) {
@@ -418,6 +438,7 @@ impl DbServer {
             obs_processed: AtomicU64::new(0),
             maint_backlog: AtomicU64::new(0),
             maint_deferrals: AtomicU64::new(0),
+            maint_errors: AtomicU64::new(0),
             pending_gc: AtomicU64::new(0),
             append_guards: Mutex::new(Vec::new()),
             journal: adaptdb_common::Journal::new(),
@@ -502,6 +523,7 @@ impl DbServer {
             self.shared.maintenance_passes.load(Ordering::SeqCst),
             self.shared.maint_backlog.load(Ordering::SeqCst) as usize,
             self.shared.maint_deferrals.load(Ordering::SeqCst),
+            self.shared.maint_errors.load(Ordering::SeqCst),
             ingest,
             delta_blocks,
             self.shared.store.cache().map(|c| c.report()),

@@ -123,10 +123,15 @@ fn adapt_and_publish(shared: &Shared, queries: &[adaptdb_common::Query]) -> Opti
     let io_before = shared.maint_clock().snapshot();
     let mut engine = shared.engine().lock();
     for q in queries {
-        // A worker already surfaced any error (e.g. unknown table) to
-        // the client; adaptation simply skips such queries.
-        let _ = engine.record_observation(q);
-        let _ = engine.adapt_now(q, shared.maint_clock());
+        // Only queries that succeeded reach the inbox, so a failure
+        // here is the engine's own (e.g. an unreadable block): count
+        // it, journal it, and carry on with the next observation.
+        if let Err(e) = engine.record_observation(q) {
+            shared.note_maintenance_error("record_observation", &e);
+        }
+        if let Err(e) = engine.adapt_now(q, shared.maint_clock()) {
+            shared.note_maintenance_error("adapt_now", &e);
+        }
     }
     let blocks = engine.take_retired();
     // Install the new layouts: one atomic Arc swap per changed table.
@@ -203,8 +208,10 @@ fn collect(shared: &Shared, grace: &mut VecDeque<GraceEntry>, force: bool) {
         }
         for (table, block) in entry.blocks {
             // The block can only be missing if the engine re-migrated it
-            // eagerly, which deferred mode never does; ignore regardless.
-            let _ = shared.store().remove_block(&table, block);
+            // eagerly, which deferred mode never does.
+            if let Err(e) = shared.store().remove_block(&table, block) {
+                shared.note_maintenance_error("gc", &e);
+            }
         }
     }
 }

@@ -215,6 +215,7 @@ impl Metrics {
         maintenance_passes: u64,
         maintenance_backlog: usize,
         maintenance_deferrals: u64,
+        maintenance_errors: u64,
         ingest: IngestStats,
         delta_blocks: usize,
         cache: Option<CacheReport>,
@@ -263,6 +264,7 @@ impl Metrics {
             maintenance_passes,
             maintenance_backlog,
             maintenance_deferrals,
+            maintenance_errors,
             workers,
             queue_capacity,
             queue_depth: lane_depths.iter().sum(),
@@ -341,6 +343,10 @@ pub struct ServerReport {
     /// Passes in which pacing deferred part of the inbox to protect
     /// foreground latency.
     pub maintenance_deferrals: u64,
+    /// Maintenance steps that failed (window bookkeeping, adaptation,
+    /// or a GC delete); each is also journaled as a `maintenance-error`
+    /// event when tracing is on.
+    pub maintenance_errors: u64,
     /// Executor worker threads.
     pub workers: usize,
     /// Admission-queue capacity (per lane under lane-aware policies).
@@ -476,12 +482,13 @@ impl std::fmt::Display for ServerReport {
         write!(
             f,
             "maintenance: {} passes, {} reads / {} writes (off hot path), \
-             backlog {}, {} paced deferrals",
+             backlog {}, {} paced deferrals, {} errors",
             self.maintenance_passes,
             self.maintenance_io.reads(),
             self.maintenance_io.writes,
             self.maintenance_backlog,
-            self.maintenance_deferrals
+            self.maintenance_deferrals,
+            self.maintenance_errors
         )
     }
 }
@@ -652,6 +659,7 @@ mod tests {
             0,
             0,
             0,
+            0,
             IngestStats::default(),
             0,
             None,
@@ -696,6 +704,7 @@ mod tests {
             [0; LANE_COUNT],
             [0.0; LANE_COUNT],
             IoStats::default(),
+            0,
             0,
             0,
             0,

@@ -3,7 +3,7 @@
 //! graceful shutdown, and garbage-collection invariants.
 
 use adaptdb::{Database, DbConfig, Mode};
-use adaptdb_common::{row, JoinQuery, Query, Row, ScanQuery, Schema, ValueType};
+use adaptdb_common::{row, AttrValue, JoinQuery, Query, Row, ScanQuery, Schema, ValueType};
 use adaptdb_server::{DbServer, ServerOptions};
 
 fn schema2() -> Schema {
@@ -229,6 +229,47 @@ fn fixed_mode_serves_without_any_maintenance_writes() {
     });
     server.drain_maintenance();
     assert_eq!(server.report().maintenance_io.writes, 0, "Fixed mode must not adapt");
+}
+
+/// A maintenance step that fails after its query succeeded is counted
+/// on the report and journaled with its error text, not dropped.
+#[test]
+fn failed_maintenance_steps_are_counted_and_journaled() {
+    let config = DbConfig {
+        rows_per_block: 10,
+        ingest_fold_blocks: 1,
+        trace: true,
+        mode: Mode::Fixed,
+        ..DbConfig::small()
+    };
+    let nodes = config.nodes;
+    let mut db = Database::new(config);
+    db.create_table("r", schema2(), vec![0, 1]).unwrap();
+    db.load_rows("r", (0..200i64).map(|i| row![i, i * 2])).unwrap();
+    let server = DbServer::start(db);
+    // One delta block: the next observation of `r` makes maintenance
+    // fold it, which reads it.
+    server.append("r", (200..205i64).map(|i| row![i, i * 2]).collect()).unwrap();
+    server.with_engine(|db| {
+        // Maintenance waits on the engine lock held here, so the query
+        // succeeds on its published snapshot first; then every node
+        // fails and the fold cannot read the delta block.
+        assert_eq!(server.run(&scan_query(1000)).unwrap().rows.len(), 205);
+        for n in 0..nodes {
+            db.inject_node_failure(n as adaptdb_dfs::NodeId);
+        }
+    });
+    server.drain_maintenance();
+    assert_eq!(server.report().maintenance_errors, 1);
+    let errors: Vec<_> =
+        server.journal_events().into_iter().filter(|e| e.kind == "maintenance-error").collect();
+    assert_eq!(errors.len(), 1, "one journal event per failed step");
+    let field = |name: &str| {
+        errors[0].fields.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone()).unwrap()
+    };
+    assert_eq!(field("step"), AttrValue::Str("adapt_now".into()));
+    let AttrValue::Str(text) = field("error") else { panic!("error text must be a string") };
+    assert!(!text.is_empty());
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Batched, pipelined block fetching — the async I/O backend.
 //!
-//! Serial consumers call [`crate::BlockStore::read_block`] once per
-//! block and pay each access in full. A [`FetchStream`] instead accepts
-//! a *set* of block requests and yields completions **out of order**,
-//! simulating an in-flight window of up to `window` concurrent reads
-//! over the [`SimClock`]:
+//! Every block list the executor reads — scans, the hyper-join probe
+//! leg, shuffle reducer fetches — goes through a [`FetchStream`]: it
+//! accepts a *set* of block requests and yields completions **out of
+//! order**, simulating an in-flight window of up to `window` concurrent
+//! reads over the [`SimClock`]:
 //!
 //! * every read still lands on the I/O tally at full count (block
 //!   counts are the paper's cost currency and never change),
@@ -27,9 +27,11 @@
 //! (the DFS classifies such reads `Remote`), so a node dying
 //! mid-stream degrades locality, not correctness.
 //!
-//! `window = 1` degenerates to serial fetching with identical
-//! accounting to [`crate::BlockStore::read_block_classified`], which is
-//! what the serial-vs-pipelined equivalence tests pin.
+//! `window = 1` is serial fetching: a one-deep stream whose reads are
+//! charged exactly like [`crate::BlockStore::read_block_classified`]
+//! (each is a window of one, so `OverlapStats::{windows, fetches}`
+//! count it but nothing is hidden) — what the serial-vs-pipelined
+//! equivalence tests pin.
 
 use std::collections::VecDeque;
 

@@ -123,7 +123,9 @@ fn tpch_shuffle_joins_identical_cache_on_and_off() {
 /// Zipfian skewed re-access: the same join keeps being asked; the
 /// cached engine converges to serving the build side from memory
 /// (hot-build reuse) with fewer spills, while every pass stays
-/// row-identical.
+/// row-identical. A window-1 twin of the cached engine replays the
+/// same runs: its warm (hot-build) runs match window 4 in rows and
+/// every I/O, shuffle and cache counter, and hide no latency.
 #[test]
 fn zipfian_reaccess_hits_and_hot_build_reuse_preserve_rows() {
     let schema = adaptdb_common::Schema::from_pairs(&[
@@ -131,13 +133,14 @@ fn zipfian_reaccess_hits_and_hot_build_reuse_preserve_rows() {
         ("x", adaptdb_common::ValueType::Int),
     ]);
     let dim_schema = adaptdb_common::Schema::from_pairs(&[("k", adaptdb_common::ValueType::Int)]);
-    let build = |cache_blocks: usize| {
+    let build = |cache_blocks: usize, fetch_window: usize| {
         let config = DbConfig {
             nodes: 4,
             replication: 1,
             rows_per_block: 32,
             threads: 1,
             cache_blocks_per_node: cache_blocks,
+            fetch_window,
             seed: 11,
             ..DbConfig::default()
         };
@@ -149,8 +152,9 @@ fn zipfian_reaccess_hits_and_hot_build_reuse_preserve_rows() {
         db.load_rows("d", zipf::key_rows(64)).unwrap();
         db
     };
-    let mut off = build(0);
-    let mut on = build(CACHE_BLOCKS);
+    let mut off = build(0, 4);
+    let mut on = build(CACHE_BLOCKS, 4);
+    let mut on_serial = build(CACHE_BLOCKS, 1);
 
     let q = Query::Join(adaptdb_common::JoinQuery::new(
         ScanQuery::full("f"),
@@ -164,12 +168,21 @@ fn zipfian_reaccess_hits_and_hot_build_reuse_preserve_rows() {
         // Pass 0 is cold: no reuse possible, strict invariant applies.
         check_pair(&mut off, &mut on, &q, pass == 0);
         let (r_off, r_on) = (off.run(&q).unwrap(), on.run(&q).unwrap());
+        on_serial.run(&q).unwrap();
+        let r_serial = on_serial.run(&q).unwrap();
+        assert_eq!(sorted(r_serial.rows), sorted(r_on.rows.clone()), "pass {pass}");
+        assert_eq!(r_serial.stats.query_io, r_on.stats.query_io, "pass {pass}");
+        assert_eq!(r_serial.stats.shuffle, r_on.stats.shuffle, "pass {pass}");
+        assert_eq!(r_serial.stats.cache, r_on.stats.cache, "pass {pass}");
+        assert_eq!(r_serial.stats.overlap.hidden(), 0, "pass {pass}: window 1 hides nothing");
         assert_eq!(sorted(r_off.rows), sorted(r_on.rows));
         spilled_off.push(r_off.stats.shuffle.blocks_spilled);
         spilled_on.push(r_on.stats.shuffle.blocks_spilled);
     }
     let report = on.store().cache().expect("cache enabled").report();
     assert!(report.build_hits > 0, "identical repeated joins must reuse the hot build");
+    let serial_report = on_serial.store().cache().expect("cache enabled").report();
+    assert_eq!(serial_report.build_hits, report.build_hits, "reuse is window-invariant");
     assert!(
         spilled_on.last().unwrap() < spilled_off.last().unwrap(),
         "hot-build reuse must spill less than the uncached twin: {spilled_on:?} vs {spilled_off:?}"
