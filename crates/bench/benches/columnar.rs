@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the columnar (`ADB2`) codec path: the
 //! per-block work the morsel-driven scan actually does — parse the
 //! header, decode one predicate column, gather the few surviving rows —
-//! against the row path's full-block decode it replaces.
+//! against the full-block decode a legacy row-format (`ADB1`) block
+//! needs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -40,7 +41,7 @@ fn bench_columnar(c: &mut Criterion) {
     c.bench_function("encode_block_columnar_200rows", |bch| {
         bch.iter(|| black_box(encode_block_columnar(&b200)))
     });
-    // The row path's per-block cost: decode everything.
+    // A legacy ADB1 block's per-block cost: decode everything.
     c.bench_function("row_full_decode_200rows", |bch| {
         bch.iter(|| black_box(decode_block(row_bytes.clone()).unwrap()))
     });

@@ -1,26 +1,33 @@
-//! Columnar execution: wall-clock speedup of late materialization on
-//! TPC-H scans and join probes, at bit-identical simulated accounting.
+//! Columnar data plane: wall-clock speedup of `ADB2` blocks over the
+//! same blocks in legacy `ADB1` on TPC-H scans and join probes, at
+//! bit-identical simulated accounting.
 //!
-//! The simulated currency (block I/Os) is format-blind by design — the
-//! columnar engine's win is *real* CPU time: decode only the predicate
-//! and key columns, evaluate into selection bitsets, and materialize
-//! only surviving rows in morsel-sized gathers. This figure measures
-//! that win and pins the invariants the feature promises:
+//! One column-wise, late-materializing executor reads both formats; the
+//! `ADB1` cells re-encode their blocks through the recovery path a
+//! journal written before `ADB2` replays
+//! ([`BlockStore::rewrite_as_adb1`]), and the JSON keeps the
+//! `columnar` key (`false` = `ADB1`). The simulated currency (block
+//! I/Os) is format-blind by design — `ADB2`'s win is *real* CPU time:
+//! decode only the predicate and key columns, evaluate into selection
+//! bitsets, and materialize only surviving rows in morsel-sized
+//! gathers, where an `ADB1` block decodes every row first. This figure
+//! measures that win and pins the invariants the format promises:
 //!
 //! * **scan sweep** — a selective predicate on an *unclustered*
 //!   attribute (zone maps cannot skip, every block is decoded): the
-//!   columnar scan must be ≥ 4× faster wall-clock than the row scan at
-//!   identical reads / rows / output;
+//!   `ADB2` scan must be ≥ 4× faster wall-clock than the `ADB1` scan
+//!   at identical reads / rows / output;
 //! * **clustered cell** — the same scan shape on the clustering
 //!   attribute: zone maps must skip ≥ half the candidate blocks before
 //!   any read, identically in both formats;
 //! * **probe sweep** — a hyper-join whose probe leg has a low hit
-//!   rate: batch probing over the key column must be ≥ 4× faster than
-//!   row-at-a-time probing at identical output;
+//!   rate: batch probing the `ADB2` key column must be ≥ 4× faster
+//!   than probing `ADB1` blocks at identical output;
 //! * **parity** — the full TPC-H template corpus through the engine,
-//!   columnar on vs off: rows, `IoStats` (including `zone_skipped`),
-//!   and `ShuffleStats` bit-identical — the committed baseline gates
-//!   every counter exactly (`scripts/check_bench_columnar.py`).
+//!   loaded in `ADB1` vs `ADB2`: rows, `IoStats` (including
+//!   `zone_skipped`), and `ShuffleStats` bit-identical — the committed
+//!   baseline gates every counter exactly
+//!   (`scripts/check_bench_columnar.py`).
 //!
 //! Wall-clock cells report the *minimum* over several iterations (the
 //! noise-robust estimator); counters are deterministic at any speed.
@@ -117,10 +124,12 @@ fn scan_cell(
     seed: u64,
 ) -> Cell {
     let store = BlockStore::new(NODES, 1, seed);
-    store.set_columnar(columnar);
     let (ids, _) = write_blocks(&store, "li", rows, li::ORDERKEY);
+    if !columnar {
+        store.rewrite_as_adb1("li").expect("rewrite as ADB1");
+    }
     let clock = SimClock::new();
-    let ctx = ExecContext::single(&store, &clock).with_columnar(columnar);
+    let ctx = ExecContext::single(&store, &clock);
     let (out, wall_ms) = min_wall_ms(iters, || {
         clock.take();
         scan_blocks(ctx, "li", &ids, preds).expect("scan")
@@ -144,15 +153,18 @@ fn scan_cell(
 /// to waste on.
 fn probe_cell(name: &'static str, columnar: bool, rows: &[Row], iters: usize, seed: u64) -> Cell {
     let store = BlockStore::new(NODES, 1, seed);
-    store.set_columnar(columnar);
     let (_lids, lranges) = write_blocks(&store, "li", rows, li::ORDERKEY);
     let max_key = rows.iter().map(|r| r.get(li::ORDERKEY).as_int().unwrap()).max().unwrap_or(0);
     let dim: Vec<Row> = (0..=max_key).step_by(50).map(|k| row![k, k * 3]).collect();
     let (_, dranges) = write_blocks(&store, "dim", &dim, 0);
+    if !columnar {
+        store.rewrite_as_adb1("li").expect("rewrite as ADB1");
+        store.rewrite_as_adb1("dim").expect("rewrite as ADB1");
+    }
     let decision = planner::plan(&lranges, &dranges, 64, &CostParams::default());
     let JoinDecision::Hyper(plan) = decision else { panic!("expected a hyper-join plan") };
     let clock = SimClock::new();
-    let ctx = ExecContext::single(&store, &clock).with_columnar(columnar);
+    let ctx = ExecContext::single(&store, &clock);
     let none = PredicateSet::none();
     let (out, wall_ms) = min_wall_ms(iters, || {
         clock.take();
@@ -183,8 +195,8 @@ fn probe_cell(name: &'static str, columnar: bool, rows: &[Row], iters: usize, se
     }
 }
 
-/// Run the whole TPC-H template corpus through the engine in one
-/// format and total the accounting.
+/// Run the whole TPC-H template corpus through the engine, loaded in
+/// one format, and total the accounting.
 fn parity_cell(opts: &BenchOpts, columnar: bool) -> Parity {
     use adaptdb::{Database, DbConfig, Mode};
     let gen = TpchGen::new(opts.scale.max(0.02), opts.seed);
@@ -196,12 +208,16 @@ fn parity_cell(opts: &BenchOpts, columnar: bool) -> Parity {
         threads: 1,
         adapt_selections: false,
         fetch_window: 4,
-        columnar,
         seed: opts.seed,
         ..DbConfig::default()
     };
     let mut db = Database::new(config.with_mode(Mode::Adaptive));
     gen.load_converged(&mut db, li::ORDERKEY).expect("load");
+    if !columnar {
+        for t in db.table_names() {
+            db.store().rewrite_as_adb1(&t).expect("rewrite as ADB1");
+        }
+    }
     let mut q_rng = adaptdb_common::rng::derived(opts.seed, "fig-columnar-parity");
     let queries: Vec<Query> = Template::all().iter().map(|t| t.instantiate(&mut q_rng)).collect();
     let mut p = Parity {
@@ -302,7 +318,7 @@ fn table_rows(cells: &[Cell]) -> Vec<Vec<String>> {
         .map(|c| {
             vec![
                 c.name.to_string(),
-                if c.columnar { "col".into() } else { "row".into() },
+                if c.columnar { "ADB2".into() } else { "ADB1".into() },
                 c.blocks.to_string(),
                 c.reads.to_string(),
                 c.zone_skipped.to_string(),
@@ -381,11 +397,11 @@ fn main() {
     // before a baseline is ever written.
     assert!(
         scan_speedup >= SPEEDUP_FLOOR,
-        "columnar scan speedup {scan_speedup:.2}x below {SPEEDUP_FLOOR}x"
+        "ADB2 scan speedup {scan_speedup:.2}x below {SPEEDUP_FLOOR}x"
     );
     assert!(
         probe_speedup >= SPEEDUP_FLOOR,
-        "columnar probe speedup {probe_speedup:.2}x below {SPEEDUP_FLOOR}x"
+        "ADB2 probe speedup {probe_speedup:.2}x below {SPEEDUP_FLOOR}x"
     );
     let skip_rate = clustered[0].zone_skipped as f64 / clustered[0].blocks as f64;
     assert!(

@@ -118,7 +118,7 @@ impl BitSet {
 
     /// In-place intersection: `self &= other`. Widths must match. This
     /// is the word-level AND that combines per-predicate selection
-    /// vectors in the columnar scan path.
+    /// vectors in the scan path.
     #[inline]
     pub fn intersect_with(&mut self, other: &BitSet) {
         assert_eq!(self.bits, other.bits, "bitset width mismatch");

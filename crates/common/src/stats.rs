@@ -23,8 +23,8 @@ pub struct IoStats {
     /// (block min/max metadata excluded the predicates) before any
     /// read was issued. Not I/O — never part of [`IoStats::reads`] or
     /// simulated seconds; this tally only makes the second pruning
-    /// tier (tree → zone map) observable. Identical with the columnar
-    /// feature on or off: both scan paths consult the same metadata.
+    /// tier (tree → zone map) observable. Identical for every block
+    /// format: the metadata is format-independent.
     pub zone_skipped: usize,
 }
 

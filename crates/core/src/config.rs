@@ -156,22 +156,14 @@ pub struct DbConfig {
     /// default) keeps the configured window unconditionally. Block
     /// counts and results are identical at every setting.
     pub fetch_pace_wait_ms: Option<f64>,
-    /// Columnar execution: blocks are written in the columnar `ADB2`
-    /// wire format and scans/hyper-join probes evaluate predicates
-    /// column-wise into selection bitsets over lazily-decoded payloads,
-    /// materializing only selected rows in morsel-sized gathers. Purely
-    /// a wall-clock optimization: rows, row order, block boundaries,
-    /// block counts, and every simulated stat are bit-identical with it
-    /// off (the default), and legacy `ADB1` blocks remain readable
-    /// either way. Defaults honor the `ADAPTDB_COLUMNAR` environment
-    /// variable; see [`DbConfig::env_columnar`].
+    /// Ignored: `ADB2` + column-wise execution is the only data plane;
+    /// removed with the next benchmark change. Nothing reads it.
     pub columnar: bool,
-    /// Morsel size in rows for columnar scan/probe work: selected row
-    /// ranges split into cache-sized morsels dispatched through the
-    /// ordered parallel executor (deterministic output order at any
-    /// thread count). Irrelevant when `columnar` is off. Defaults honor
-    /// the `ADAPTDB_MORSEL_ROWS` environment variable; see
-    /// [`DbConfig::env_morsel_rows`].
+    /// Morsel size in rows for scan/probe gathers: selected row ranges
+    /// split into cache-sized morsels dispatched through the ordered
+    /// parallel executor (deterministic output order at any thread
+    /// count). Defaults honor the `ADAPTDB_MORSEL_ROWS` environment
+    /// variable; see [`DbConfig::env_morsel_rows`].
     pub morsel_rows: usize,
     /// Query-lifecycle tracing: when on, every query run through
     /// [`crate::Database`] or the server collects a span tree
@@ -249,7 +241,7 @@ impl Default for DbConfig {
             batch_cost_blocks: 64,
             maint_pace_wait_ms: 5.0,
             fetch_pace_wait_ms: None,
-            columnar: DbConfig::env_columnar(),
+            columnar: false,
             morsel_rows: DbConfig::env_morsel_rows().unwrap_or(adaptdb_exec::DEFAULT_MORSEL_ROWS),
             trace: DbConfig::env_trace(),
             ingest_fold_blocks: DbConfig::env_ingest_fold().unwrap_or(8),
@@ -296,19 +288,8 @@ impl DbConfig {
         SchedPolicy::parse(&std::env::var("ADAPTDB_SCHED").ok()?)
     }
 
-    /// The `ADAPTDB_COLUMNAR` override: `1` / `true` / `on` enables
-    /// columnar block encoding and column-wise execution (anything
-    /// else, or unset, leaves it off). Never changes results, block
-    /// counts, or simulated costs — only wall-clock.
-    pub fn env_columnar() -> bool {
-        matches!(
-            std::env::var("ADAPTDB_COLUMNAR").map(|v| v.trim().to_ascii_lowercase()).as_deref(),
-            Ok("1") | Ok("true") | Ok("on")
-        )
-    }
-
     /// The `ADAPTDB_MORSEL_ROWS` override, if set to a positive
-    /// integer: the morsel size (in rows) for columnar scan/probe
+    /// integer: the morsel size (in rows) for scan/probe
     /// gathers. Like `ADAPTDB_THREADS`, this never changes results —
     /// morsels reassemble in input order.
     pub fn env_morsel_rows() -> Option<usize> {
@@ -474,9 +455,8 @@ mod tests {
 
     #[test]
     fn columnar_defaults_off_and_morsel_positive() {
-        if std::env::var("ADAPTDB_COLUMNAR").is_err() {
-            assert!(!DbConfig::default().columnar, "columnar is opt-in");
-        }
+        // The ignored field keeps the value the benchmark harness pins.
+        assert!(!DbConfig::default().columnar);
         if std::env::var("ADAPTDB_MORSEL_ROWS").is_err() {
             assert_eq!(DbConfig::default().morsel_rows, adaptdb_exec::DEFAULT_MORSEL_ROWS);
         }

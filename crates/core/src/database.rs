@@ -93,7 +93,6 @@ impl Database {
     /// Create a database over a fresh simulated cluster.
     pub fn new(config: DbConfig) -> Self {
         let store = Arc::new(BlockStore::new(config.nodes, config.replication, config.seed));
-        store.set_columnar(config.columnar);
         store.enable_cache(config.cache_blocks_per_node, config.cost.remote_read_penalty);
         let rng = rng::derived(config.seed, "database");
         Database {
@@ -563,6 +562,9 @@ impl Database {
     pub fn run(&mut self, query: &Query) -> Result<QueryResult> {
         let started = Instant::now();
         let unaccounted_before = self.store.unaccounted_reads();
+        // Reject malformed queries before they reach the window or the
+        // adaptation machinery.
+        readpath::validate_query(self, query)?;
         self.record_observation(query)?;
 
         let tracer = self.config.trace.then(adaptdb_common::Tracer::new);

@@ -644,14 +644,14 @@ mod tests {
     }
 
     /// The zone-map projection uses the scan's exact runtime check, so
-    /// `EXPLAIN ANALYZE` must show estimate == measured — with columnar
-    /// execution on or off.
+    /// `EXPLAIN ANALYZE` must show estimate == measured — over `ADB2`
+    /// blocks and over the same blocks in legacy `ADB1`.
     #[test]
     fn zone_skip_projection_matches_runtime() {
         use adaptdb_common::{CmpOp, Predicate};
-        for columnar in [false, true] {
+        for adb1 in [false, true] {
             let mut d = Database::new(
-                DbConfig { rows_per_block: 10, fetch_window: 4, columnar, ..DbConfig::small() }
+                DbConfig { rows_per_block: 10, fetch_window: 4, ..DbConfig::small() }
                     .with_mode(Mode::Fixed),
             );
             let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
@@ -660,6 +660,9 @@ mod tests {
             d.create_table("l", schema, vec![0]).unwrap();
             d.load_two_phase("l", (0..200i64).map(|i| row![i % 100, i]).collect(), 0, None)
                 .unwrap();
+            if adb1 {
+                d.store().rewrite_as_adb1("l").unwrap();
+            }
             // A predicate on the non-partitioned attribute (`x`): the
             // tree cannot prune on it, the zone maps can.
             let q = Query::Scan(ScanQuery::new(
@@ -669,11 +672,11 @@ mod tests {
             let report = d.explain_analyze(&q).unwrap();
             assert!(
                 report.explain.est_zone_skipped > 0,
-                "columnar={columnar}: zone maps must project skips"
+                "adb1={adb1}: zone maps must project skips"
             );
             assert_eq!(
                 report.stats.query_io.zone_skipped, report.explain.est_zone_skipped,
-                "columnar={columnar}"
+                "adb1={adb1}"
             );
             assert!(report.to_string().contains("zone maps"));
         }

@@ -47,7 +47,6 @@ fn exec_ctx<'a, S: SnapshotSource>(
         .with_shuffle(src.config().shuffle_options())
         .with_fetch_window(src.config().fetch_window)
         .with_join_mem_budget(src.config().join_mem_budget_blocks)
-        .with_columnar(src.config().columnar)
         .with_morsel_rows(src.config().morsel_rows)
         .with_trace(trace)
 }
@@ -73,6 +72,7 @@ pub fn execute_query_traced<'a, S: SnapshotSource>(
     clock: &'a SimClock,
     trace: Option<TraceCtx<'a>>,
 ) -> Result<(Vec<Row>, JoinStrategy, Option<f64>)> {
+    validate_query(src, query)?;
     match query {
         Query::Scan(s) => {
             let rows = execute_scan(src, &s.table, &s.predicates, clock, trace)?;
@@ -114,6 +114,40 @@ pub fn execute_query_traced<'a, S: SnapshotSource>(
             Ok((rows, strategy, c))
         }
     }
+}
+
+/// Check every predicate and join attribute id of `query` against the
+/// schemas of the tables it names (a multi-way step's intermediate
+/// attribute against the joined width so far), failing with
+/// [`Error::UnknownAttribute`] before any planning or I/O — so a
+/// malformed query errors instead of indexing past a row.
+pub fn validate_query<S: SnapshotSource>(src: &S, query: &Query) -> Result<()> {
+    let check = |attr: AttrId, width: usize, of: &str| {
+        if (attr as usize) < width {
+            return Ok(());
+        }
+        Err(Error::UnknownAttribute(format!("attribute {attr} of {width}-column {of}")))
+    };
+    // Checks a scan's predicates and join attribute; returns its width.
+    let scan = |s: &adaptdb_common::ScanQuery, attr: Option<AttrId>| -> Result<usize> {
+        let width = src.snapshot(&s.table)?.schema.len();
+        for a in s.predicates.predicates().iter().map(|p| p.attr).chain(attr) {
+            check(a, width, &s.table)?;
+        }
+        Ok(width)
+    };
+    let (first, steps) = match query {
+        Query::Scan(s) => return scan(s, None).map(drop),
+        Query::Join(j) => (j, &[][..]),
+        Query::MultiJoin { first, steps } => (first, &steps[..]),
+    };
+    let mut width =
+        scan(&first.left, Some(first.left_attr))? + scan(&first.right, Some(first.right_attr))?;
+    for step in steps {
+        check(step.intermediate_attr, width, "intermediate result")?;
+        width += scan(&step.table, Some(step.table_attr))?;
+    }
+    Ok(())
 }
 
 /// Execute one multi-way join step (§4.3). When the base table has a

@@ -55,16 +55,10 @@ pub struct ExecContext<'a> {
     /// every operator skips its telemetry calls entirely, keeping all
     /// accounting bit-identical to an untraced run.
     pub trace: Option<TraceCtx<'a>>,
-    /// Columnar execution: scans and join probes evaluate predicates
-    /// column-wise into a selection bitset over lazily-decoded `ADB2`
-    /// payloads, materializing only selected rows. Purely a wall-clock
-    /// optimization — rows, row order, block counts, and every
-    /// simulated stat are bit-identical with it off (the default).
-    pub columnar: bool,
-    /// Morsel size in rows for columnar scan/probe work: selected row
-    /// ranges are split into cache-sized morsels dispatched through
+    /// Morsel size in rows for scan/probe gathers: selected row ranges
+    /// are split into cache-sized morsels dispatched through
     /// `parallel::map_ordered`, so multi-threaded runs reassemble in
-    /// deterministic input order. Irrelevant when `columnar` is off.
+    /// deterministic input order.
     pub morsel_rows: usize,
 }
 
@@ -84,7 +78,6 @@ impl<'a> ExecContext<'a> {
             fetch_window: 1,
             join_mem_budget_blocks: None,
             trace: None,
-            columnar: false,
             morsel_rows: DEFAULT_MORSEL_ROWS,
         }
     }
@@ -122,11 +115,10 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Same context with columnar execution switched on or off
-    /// (builder style). Results and counts are identical either way;
-    /// only wall-clock changes.
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
+    /// Ignored: `ADB2` + column-wise execution is the only data plane;
+    /// removed with the next benchmark change. Returns the context
+    /// unchanged.
+    pub fn with_columnar(self, _on: bool) -> Self {
         self
     }
 

@@ -11,11 +11,11 @@
 //! `ExecContext::fetch_window` pinned to the group's node, its
 //! completions handed back in plan order — so block counts and output
 //! are identical at every window (window 1 is the serial leg), only
-//! simulated latency overlaps. With `ExecContext::columnar` probe
-//! blocks stay lazily decoded: predicates evaluate column-wise into a
-//! selection bitset, the join key column alone is decoded for a batch
-//! probe, and only the matching probe rows are ever materialized (in
-//! morsel-sized gathers shared with the scan path).
+//! simulated latency overlaps. Probe blocks stay lazily decoded:
+//! predicates evaluate column-wise into a selection bitset, the join
+//! key column alone is decoded for a batch probe, and only the matching
+//! probe rows are ever materialized (in morsel-sized gathers shared
+//! with the scan path).
 
 use adaptdb_common::{AttrId, BitSet, PredicateSet, Result, Row};
 use adaptdb_join::{HyperJoinPlan, JoinSide};
@@ -116,27 +116,13 @@ fn run_group(
     let mut table = JoinHashTable::new();
     for &b in build_blocks {
         let (lazy, _) = ctx.store.read_lazy_classified(build_table, b, node, ctx.clock)?;
-        if ctx.columnar {
-            // Column-wise filter, then gather only the surviving rows
-            // into the hash table (same insertion order as the row
-            // loop, so bucket order — and output order — match).
-            let sel = select_lazy(&lazy, build_preds)?;
-            ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
-            let selected = [(lazy, sel)];
-            for row in gather_morsels(ExecContext { threads: 1, ..ctx }, &selected)? {
-                table.insert(build_attr, row);
-            }
-        } else {
-            let block = lazy.into_block()?;
-            let scanned = block.rows.len();
-            let mut kept = 0usize;
-            for row in block.rows {
-                if build_preds.matches(&row) {
-                    kept += 1;
-                    table.insert(build_attr, row);
-                }
-            }
-            ctx.clock.record_rows(scanned, kept);
+        // Column-wise filter, then gather only the surviving rows into
+        // the hash table in block order.
+        let sel = select_lazy(&lazy, build_preds)?;
+        ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
+        let selected = [(lazy, sel)];
+        for row in gather_morsels(ExecContext { threads: 1, ..ctx }, &selected)? {
+            table.insert(build_attr, row);
         }
     }
     // Stream the group's probe blocks from the group's node (untraced:
@@ -159,49 +145,29 @@ fn probe_block(
     build_side: JoinSide,
     out: &mut Vec<Row>,
 ) -> Result<()> {
-    if ctx.columnar {
-        // Late materialization: selection bitset from the predicate
-        // columns, batch-probe the key column, then gather only the
-        // probe rows that actually matched.
-        let sel = select_lazy(&lazy, probe_preds)?;
-        ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
-        let keys = lazy.column(probe_attr as usize)?;
-        let hits = table.probe_batch(&keys, &sel);
-        let mut matched = BitSet::new(lazy.row_count());
-        for &(i, _) in &hits {
-            matched.set(i);
+    // Late materialization: selection bitset from the predicate
+    // columns, batch-probe the key column, then gather only the probe
+    // rows that actually matched.
+    let sel = select_lazy(&lazy, probe_preds)?;
+    ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
+    let keys = lazy.column(probe_attr as usize)?;
+    let hits = table.probe_batch(&keys, &sel);
+    let mut matched = BitSet::new(lazy.row_count());
+    for &(i, _) in &hits {
+        matched.set(i);
+    }
+    let selected = [(lazy, matched)];
+    let probe_rows = gather_morsels(ExecContext { threads: 1, ..ctx }, &selected)?;
+    debug_assert_eq!(probe_rows.len(), hits.len());
+    for ((_, build_rows), probe_row) in hits.iter().zip(&probe_rows) {
+        for build_row in *build_rows {
+            // Normalize output to left ⋈ right column order.
+            let joined = match build_side {
+                JoinSide::Left => build_row.concat(probe_row),
+                JoinSide::Right => probe_row.concat(build_row),
+            };
+            out.push(joined);
         }
-        let selected = [(lazy, matched)];
-        let probe_rows = gather_morsels(ExecContext { threads: 1, ..ctx }, &selected)?;
-        debug_assert_eq!(probe_rows.len(), hits.len());
-        for ((_, build_rows), probe_row) in hits.iter().zip(&probe_rows) {
-            for build_row in *build_rows {
-                let joined = match build_side {
-                    JoinSide::Left => build_row.concat(probe_row),
-                    JoinSide::Right => probe_row.concat(build_row),
-                };
-                out.push(joined);
-            }
-        }
-    } else {
-        let block = lazy.into_block()?;
-        let scanned = block.rows.len();
-        let mut kept = 0usize;
-        for row in block.rows {
-            if !probe_preds.matches(&row) {
-                continue;
-            }
-            kept += 1;
-            for build_row in table.probe(row.get(probe_attr)) {
-                // Normalize output to left ⋈ right column order.
-                let joined = match build_side {
-                    JoinSide::Left => build_row.concat(&row),
-                    JoinSide::Right => row.concat(build_row),
-                };
-                out.push(joined);
-            }
-        }
-        ctx.clock.record_rows(scanned, kept);
     }
     Ok(())
 }
@@ -360,16 +326,17 @@ mod tests {
         assert_eq!(rows.len(), 10);
     }
 
-    /// Columnar probing and the pipelined probe leg must both be row-,
-    /// order-, and count-identical to the serial row-at-a-time join,
-    /// at every fetch window / thread count / morsel size — including
-    /// with predicates filtering both sides.
+    /// Probing `ADB2` blocks and the pipelined probe leg must both be
+    /// row-, order-, and count-identical to the serial join over the
+    /// same blocks in legacy `ADB1`, at every fetch window / thread
+    /// count / morsel size — including with predicates filtering both
+    /// sides.
     #[test]
     fn columnar_and_pipelined_probe_match_row_join() {
         let (store, left, right) = setup(64, 8);
-        store.set_columnar(true);
-        // Re-written blocks above are row-format; also join works when
-        // later spills would be columnar. Predicates exercise selection.
+        let (row_store, _, _) = setup(64, 8);
+        row_store.rewrite_as_adb1("l").unwrap();
+        row_store.rewrite_as_adb1("r").unwrap();
         let JoinDecision::Hyper(p) = plan(&left, &right, 2, &CostParams::default()) else {
             panic!("expected hyper-join")
         };
@@ -385,20 +352,20 @@ mod tests {
             plan: &p,
         };
         let base_clock = SimClock::new();
-        let expect = hyper_join(ExecContext::single(&store, &base_clock), spec(&lp, &rp)).unwrap();
+        let expect =
+            hyper_join(ExecContext::single(&row_store, &base_clock), spec(&lp, &rp)).unwrap();
         assert_eq!(expect.len(), 48);
         let base_io = base_clock.take();
-        for columnar in [false, true] {
+        for (format, s) in [("ADB1", &row_store), ("ADB2", &store)] {
             for window in [1, 4] {
                 for threads in [1, 4] {
                     let clock = SimClock::new();
-                    let ctx = ExecContext::new(&store, &clock, threads)
+                    let ctx = ExecContext::new(s, &clock, threads)
                         .with_fetch_window(window)
-                        .with_columnar(columnar)
                         .with_morsel_rows(3);
                     let got = hyper_join(ctx, spec(&lp, &rp)).unwrap();
-                    assert_eq!(got, expect, "c={columnar} w={window} t={threads}");
-                    assert_eq!(clock.take(), base_io, "c={columnar} w={window} t={threads}");
+                    assert_eq!(got, expect, "{format} w={window} t={threads}");
+                    assert_eq!(clock.take(), base_io, "{format} w={window} t={threads}");
                 }
             }
         }

@@ -4,27 +4,26 @@
 //! [`adaptdb_storage::FetchStream`] of depth `ExecContext::fetch_window`
 //! per reader, its out-of-order completions (locals before remotes
 //! within a window) handed back to a per-block closure in manifest
-//! order. The row and columnar scans split the manifest into one
-//! contiguous chunk per worker and differ only in that closure; the
-//! hyper-join probe leg streams one chunk pinned to its group's node.
+//! order. The scan splits the manifest into one contiguous chunk per
+//! worker; the hyper-join probe leg streams one chunk pinned to its
+//! group's node.
 //! Window 1 is the serial case — a one-deep stream through the same
 //! code, every read charged in full and no latency hidden — and deeper
 //! windows only overlap latency (charged max-of-window), so pipelining
 //! changes simulated wall-clock but never row order, counts, or
 //! results.
 //!
-//! With `ExecContext::columnar` the filter stage switches from
-//! row-at-a-time to **late materialization**: predicates evaluate
+//! The filter stage is **late materialization**: predicates evaluate
 //! column-wise over lazily-decoded `ADB2` payloads into a selection
 //! [`BitSet`], then only the selected rows are gathered, split into
 //! `morsel_rows`-sized morsels dispatched through
-//! [`parallel::map_ordered`] (deterministic input order). Pruning
-//! composes in a fixed order: partition tree (upstream `lookup`) →
-//! zone maps (block min/max metadata, counted on
-//! `IoStats::zone_skipped`, no I/O charged) → selection bitset within
-//! each surviving block. Both scan paths consult the same metadata and
-//! charge the same clocks, so rows, row order, and every simulated
-//! count are bit-identical with the feature on or off.
+//! [`parallel::map_ordered`] (deterministic input order). Legacy `ADB1`
+//! blocks decode eagerly at parse time and flow through the same
+//! stages, so rows, row order, and every simulated count are
+//! independent of the block format. Pruning composes in a fixed order:
+//! partition tree (upstream `lookup`) → zone maps (block min/max
+//! metadata, counted on `IoStats::zone_skipped`, no I/O charged) →
+//! selection bitset within each surviving block.
 
 use adaptdb_common::{BitSet, BlockId, PredicateSet, Result, Row};
 use adaptdb_dfs::{NodeId, TraceCtx};
@@ -70,7 +69,7 @@ fn scan_inner(
 ) -> Result<Vec<Row>> {
     // Zone-map skip first: per-column min/max metadata excludes whole
     // blocks before any read is issued (no I/O charged, only the
-    // `zone_skipped` tally — identical with columnar on or off).
+    // `zone_skipped` tally).
     let mut to_read = Vec::with_capacity(blocks.len());
     for &b in blocks {
         if ctx.store.with_block_meta(table, b, |m| preds.may_match(&m.ranges))? {
@@ -81,24 +80,14 @@ fn scan_inner(
     if skipped > 0 {
         ctx.clock.record_zone_skips(skipped);
     }
-    if ctx.columnar {
-        // Stage A: lazy read + column-wise selection; stage B gathers
-        // only the selected rows.
-        let selected = read_chunked(ctx, table, &to_read, |lazy| {
-            let sel = select_lazy(&lazy, preds)?;
-            ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
-            Ok((lazy, sel))
-        })?;
-        return gather_morsels(ctx, &selected);
-    }
-    let kept = read_chunked(ctx, table, &to_read, |lazy| {
-        let block = lazy.into_block()?;
-        let scanned = block.rows.len();
-        let rows: Vec<Row> = block.rows.into_iter().filter(|r| preds.matches(r)).collect();
-        ctx.clock.record_rows(scanned, rows.len());
-        Ok(rows)
+    // Stage A: lazy read + column-wise selection; stage B gathers only
+    // the selected rows.
+    let selected = read_chunked(ctx, table, &to_read, |lazy| {
+        let sel = select_lazy(&lazy, preds)?;
+        ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
+        Ok((lazy, sel))
     })?;
-    Ok(kept.into_iter().flatten().collect())
+    gather_morsels(ctx, &selected)
 }
 
 /// Read `blocks` of `table` as one contiguous chunk per worker, each
@@ -182,7 +171,7 @@ pub(crate) fn select_lazy(lazy: &LazyBlock, preds: &PredicateSet) -> Result<BitS
     Ok(sel)
 }
 
-/// Stage B of columnar execution, shared with the hyper-join probe leg:
+/// Stage B of the scan, shared with the hyper-join build and probe legs:
 /// split each block's row space into `morsel_rows`-sized ranges,
 /// gather each morsel's selected rows in parallel, and concatenate in
 /// block-then-row order (deterministic at any thread count).
@@ -323,32 +312,35 @@ mod tests {
         assert_eq!(clock.snapshot().reads(), 1, "skipped blocks are never prefetched");
     }
 
-    /// Columnar blocks on disk, wide config sweep: the columnar scan
-    /// must be row-, order-, and count-identical to the row scan at
-    /// every fetch window / thread count / morsel size.
+    /// The same blocks in the legacy row format (`ADB1`), as a journal
+    /// written before `ADB2` recovers them.
+    fn setup_adb1() -> (BlockStore, Vec<BlockId>) {
+        let (store, ids) = setup();
+        store.rewrite_as_adb1("t").unwrap();
+        (store, ids)
+    }
+
+    /// `ADB2` blocks, wide config sweep: the scan must be row-, order-,
+    /// and count-identical to a serial scan of the same blocks in
+    /// `ADB1` at every fetch window / thread count / morsel size.
     #[test]
     fn columnar_scan_matches_row_scan_across_configs() {
-        let (store, ids) = setup();
         let preds = PredicateSet::none()
             .and(Predicate::new(0, CmpOp::Ge, 3i64))
             .and(Predicate::new(0, CmpOp::Lt, 206i64));
+        let (row_store, ids) = setup_adb1();
         let c_row = SimClock::new();
-        let expect = scan_blocks(ExecContext::single(&store, &c_row), "t", &ids, &preds).unwrap();
+        let expect =
+            scan_blocks(ExecContext::single(&row_store, &c_row), "t", &ids, &preds).unwrap();
         let row_io = c_row.take();
-        // Re-encode the same logical blocks columnar in a second store.
-        let cstore = BlockStore::new(4, 1, 1);
-        cstore.set_columnar(true);
-        for base in [0i64, 100, 200] {
-            let rows = (base..base + 10).map(|i| row![i]).collect();
-            cstore.write_block("t", rows, 1, None);
-        }
+        let (cstore, cids) = setup();
+        assert_eq!(cids, ids);
         for window in [1, 4] {
             for threads in [1, 4] {
                 for morsel in [1, 3, 1024] {
                     let clock = SimClock::new();
                     let ctx = ExecContext::new(&cstore, &clock, threads)
                         .with_fetch_window(window)
-                        .with_columnar(true)
                         .with_morsel_rows(morsel);
                     let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
                     assert_eq!(got, expect, "w={window} t={threads} m={morsel}");
@@ -358,37 +350,35 @@ mod tests {
         }
     }
 
-    /// Columnar execution also reads legacy row-format (`ADB1`) blocks:
-    /// the lazy parse falls back to eager rows and everything above it
-    /// is unchanged.
+    /// The scan also reads legacy row-format (`ADB1`) blocks: the lazy
+    /// parse decodes them eagerly and everything above it is
+    /// unchanged.
     #[test]
     fn columnar_scan_reads_row_format_blocks() {
-        let (store, ids) = setup();
         let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 105i64));
-        let c_row = SimClock::new();
-        let expect = scan_blocks(ExecContext::single(&store, &c_row), "t", &ids, &preds).unwrap();
+        let (store, ids) = setup();
         let c_col = SimClock::new();
-        let got =
-            scan_blocks(ExecContext::single(&store, &c_col).with_columnar(true), "t", &ids, &preds)
-                .unwrap();
+        let expect = scan_blocks(ExecContext::single(&store, &c_col), "t", &ids, &preds).unwrap();
+        let (row_store, _) = setup_adb1();
+        let c_row = SimClock::new();
+        let got = scan_blocks(ExecContext::single(&row_store, &c_row), "t", &ids, &preds).unwrap();
         assert_eq!(got, expect);
         assert_eq!(c_row.take(), c_col.take());
     }
 
-    /// Zone-map skips are tallied (identically in both modes) without
-    /// charging any I/O or simulated time for the skipped blocks.
+    /// Zone-map skips are tallied (identically for both block formats)
+    /// without charging any I/O or simulated time for the skipped
+    /// blocks.
     #[test]
     fn zone_map_skips_are_counted_not_charged() {
-        let (store, ids) = setup();
-        for columnar in [false, true] {
+        for (format, (store, ids)) in [("ADB2", setup()), ("ADB1", setup_adb1())] {
             let clock = SimClock::new();
             let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Ge, 200i64));
-            let ctx = ExecContext::single(&store, &clock).with_columnar(columnar);
-            let rows = scan_blocks(ctx, "t", &ids, &preds).unwrap();
+            let rows = scan_blocks(ExecContext::single(&store, &clock), "t", &ids, &preds).unwrap();
             assert_eq!(rows.len(), 10);
             let io = clock.take();
-            assert_eq!(io.zone_skipped, 2, "columnar={columnar}");
-            assert_eq!(io.reads(), 1, "columnar={columnar}");
+            assert_eq!(io.zone_skipped, 2, "{format}");
+            assert_eq!(io.reads(), 1, "{format}");
         }
     }
 

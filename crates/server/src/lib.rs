@@ -63,8 +63,10 @@ pub mod metrics;
 pub mod queue;
 pub mod scheduler;
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
@@ -758,6 +760,17 @@ fn submit(
     (res, lane)
 }
 
+/// The error a contained query panic is reported as, carrying the
+/// panic message when it is a string.
+fn panic_error(payload: &(dyn Any + Send)) -> Error {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    Error::Plan(format!("query panicked: {msg}"))
+}
+
 fn worker_loop(shared: &Shared) {
     while let Some((Job { query, reply }, meta)) = shared.queue.pop() {
         shared.metrics.begin();
@@ -799,32 +812,37 @@ fn worker_loop(shared: &Shared) {
             parent: root,
             base_us: 0,
         });
-        let result = readpath::execute_query_traced(&view, &query, &clock, trace_ctx).map(
-            |(rows, strategy, c_hyj)| {
-                let mut stats = QueryStats::empty(strategy);
-                stats.query_io = clock.snapshot();
-                stats.shuffle = clock.shuffle_snapshot();
-                stats.overlap = clock.overlap_snapshot();
-                stats.cache = clock.cache_snapshot();
-                stats.estimated_c_hyj = c_hyj;
-                // Submit-to-finish, so admission wait shows up under load.
-                stats.wall_secs = meta.submitted.elapsed().as_secs_f64();
-                stats.queue_wait_secs = queue_wait.as_secs_f64();
-                let trace = tracer.map(|t| {
-                    let root = root.expect("root exists when tracing");
-                    t.attr_s(root, "strategy", &format!("{strategy:?}"));
-                    t.attr_i(root, "rows", rows.len() as i64);
-                    t.attr_i(root, "blocks_read", stats.query_io.reads() as i64);
-                    if stats.cache.lookups() > 0 {
-                        t.attr_i(root, "cache_hits", stats.cache.hits() as i64);
-                        t.attr_i(root, "cache_misses", stats.cache.misses as i64);
-                    }
-                    t.end(root, adaptdb_dfs::secs_to_us(stats.query_io.simulated_secs(&params)));
-                    Arc::new(t.finish())
-                });
-                QueryResult { rows, stats, trace }
-            },
-        );
+        // A panicking query must not take the worker down with it: the
+        // panic becomes this query's error, and the pool keeps its
+        // thread and its in-flight gauge stays balanced.
+        let executed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            readpath::execute_query_traced(&view, &query, &clock, trace_ctx)
+        }))
+        .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())));
+        let result = executed.map(|(rows, strategy, c_hyj)| {
+            let mut stats = QueryStats::empty(strategy);
+            stats.query_io = clock.snapshot();
+            stats.shuffle = clock.shuffle_snapshot();
+            stats.overlap = clock.overlap_snapshot();
+            stats.cache = clock.cache_snapshot();
+            stats.estimated_c_hyj = c_hyj;
+            // Submit-to-finish, so admission wait shows up under load.
+            stats.wall_secs = meta.submitted.elapsed().as_secs_f64();
+            stats.queue_wait_secs = queue_wait.as_secs_f64();
+            let trace = tracer.map(|t| {
+                let root = root.expect("root exists when tracing");
+                t.attr_s(root, "strategy", &format!("{strategy:?}"));
+                t.attr_i(root, "rows", rows.len() as i64);
+                t.attr_i(root, "blocks_read", stats.query_io.reads() as i64);
+                if stats.cache.lookups() > 0 {
+                    t.attr_i(root, "cache_hits", stats.cache.hits() as i64);
+                    t.attr_i(root, "cache_misses", stats.cache.misses as i64);
+                }
+                t.end(root, adaptdb_dfs::secs_to_us(stats.query_io.simulated_secs(&params)));
+                Arc::new(t.finish())
+            });
+            QueryResult { rows, stats, trace }
+        });
         debug_assert_eq!(
             shared.store.unaccounted_reads(),
             unaccounted_before,
@@ -854,6 +872,40 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptdb_common::{row, JoinQuery, ScanQuery, Schema, ValueType};
+
+    #[test]
+    fn panicking_query_is_contained_and_the_worker_survives() {
+        let mut db = Database::new(DbConfig { rows_per_block: 8, threads: 1, ..DbConfig::small() });
+        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
+        db.create_table("l", schema.clone(), vec![0, 1]).unwrap();
+        db.create_table("r", schema, vec![0, 1]).unwrap();
+        db.load_rows("l", (0..32i64).map(|i| row![i, i])).unwrap();
+        db.load_rows("r", (0..32i64).map(|i| row![i, i * 2])).unwrap();
+        let server =
+            DbServer::start_with(db, ServerOptions { workers: Some(1), ..Default::default() });
+        // Publish a layout whose schema claims a column the stored
+        // blocks lack: the query passes validation, then planning a
+        // join on that column indexes past the block metadata and
+        // panics inside the lone worker.
+        {
+            let mut published = server.shared.published.write();
+            let mut ghost = (*published["l"]).clone();
+            ghost.schema = Schema::from_pairs(&[
+                ("k", ValueType::Int),
+                ("x", ValueType::Int),
+                ("ghost", ValueType::Int),
+            ]);
+            published.insert("l".into(), Arc::new(ghost));
+        }
+        let q = Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 2, 0));
+        let err = server.run(&q).unwrap_err();
+        assert!(err.to_string().contains("query panicked"), "{err}");
+        // The worker is still serving, and the failure is on the books.
+        assert_eq!(server.run(&Query::Scan(ScanQuery::full("r"))).unwrap().rows.len(), 32);
+        let report = server.report();
+        assert_eq!((report.queries, report.errors, report.in_flight), (2, 1, 0));
+    }
 
     #[test]
     fn paced_window_shrinks_with_pressure() {

@@ -308,11 +308,18 @@ fn prefetch_pacing_preserves_counts_and_rows() {
         )
     };
     let run = |server: &DbServer| {
-        // Prime the service mean, then race three joins through the
-        // single worker so at least one pops with a non-empty queue.
+        // Prime the service mean and let maintenance go idle (it only
+        // wakes again for new observations).
         server.run(&join_query()).unwrap();
+        server.drain_maintenance();
+        // Hold the single worker at its first block read (the DFS lock)
+        // until two more joins are queued behind the one it holds, so
+        // at least one join pops with a non-empty queue whatever the
+        // thread timing.
+        let store = server.with_engine(|db| db.store_arc());
         let stats: Mutex<Vec<adaptdb_server::SessionStats>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
+            let hold = store.dfs_mut();
             for _ in 0..3 {
                 let mut session = server.session();
                 let stats = &stats;
@@ -322,6 +329,8 @@ fn prefetch_pacing_preserves_counts_and_rows() {
                     stats.lock().unwrap().push(session.stats().clone());
                 });
             }
+            await_queue_depth(server, 2);
+            drop(hold);
         });
         let all = stats.into_inner().unwrap();
         let reads: usize = all.iter().map(|s| s.io.reads()).sum();

@@ -5,6 +5,7 @@
 use adaptdb::{Database, DbConfig, Mode};
 use adaptdb_common::{row, AttrValue, JoinQuery, Query, Row, ScanQuery, Schema, ValueType};
 use adaptdb_server::{DbServer, ServerOptions};
+use std::time::Duration;
 
 fn schema2() -> Schema {
     Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)])
@@ -270,6 +271,56 @@ fn failed_maintenance_steps_are_counted_and_journaled() {
     assert_eq!(field("step"), AttrValue::Str("adapt_now".into()));
     let AttrValue::Str(text) = field("error") else { panic!("error text must be a string") };
     assert!(!text.is_empty());
+}
+
+/// Attribute ids past a table's schema are rejected up front by the
+/// serial engine and the server alike, and a one-worker server keeps
+/// serving afterwards — checked under a timeout, so a lost worker fails
+/// the test instead of hanging it.
+#[test]
+fn out_of_range_attributes_error_and_never_kill_a_worker() {
+    use adaptdb_common::{CmpOp, Error, JoinStep, Predicate, PredicateSet};
+    let full_join = JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 0, 0);
+    let bad = [
+        Query::Scan(ScanQuery::new(
+            "r",
+            PredicateSet::none().and(Predicate::new(9, CmpOp::Lt, 5i64)),
+        )),
+        Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 0, 9)),
+        // The intermediate of a 2-column ⋈ 2-column join has 4 columns.
+        Query::MultiJoin {
+            first: full_join,
+            steps: vec![JoinStep {
+                intermediate_attr: 4,
+                table: ScanQuery::full("r"),
+                table_attr: 0,
+            }],
+        },
+    ];
+    let mut db = loaded_db(Mode::Adaptive, 1);
+    for q in &bad {
+        assert!(matches!(db.run(q), Err(Error::UnknownAttribute(_))), "{q:?}");
+    }
+    assert_eq!(db.run(&scan_query(5)).unwrap().rows.len(), 5);
+
+    let server = DbServer::start_with(
+        loaded_db(Mode::Adaptive, 1),
+        ServerOptions { workers: Some(1), ..Default::default() },
+    );
+    let mut session = server.session();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let errors: Vec<bool> =
+            bad.iter().map(|q| matches!(session.run(q), Err(Error::UnknownAttribute(_)))).collect();
+        let _ = tx.send((errors, session.run(&scan_query(5)).map(|r| r.rows.len())));
+    });
+    let (errors, next) =
+        rx.recv_timeout(Duration::from_secs(60)).expect("the lone worker stopped serving");
+    client.join().expect("client thread panicked");
+    assert_eq!(errors, vec![true; 3]);
+    assert_eq!(next.unwrap(), 5);
+    let report = server.report();
+    assert_eq!((report.queries, report.errors, report.in_flight), (4, 3, 0));
 }
 
 #[test]

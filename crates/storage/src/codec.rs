@@ -5,8 +5,10 @@
 //! one tag byte per value. No external serialization framework — a
 //! storage manager's on-disk format should be explicit.
 //!
-//! Two formats coexist, distinguished by magic. The original
-//! row-oriented `ADB1`:
+//! Two formats exist, distinguished by magic. The store writes every
+//! block in the columnar `ADB2`; the original row-oriented `ADB1` is
+//! still read (journals written before `ADB2` hold it) and is the
+//! writer's fallback for row sets `ADB2` cannot lay out:
 //!
 //! ```text
 //! block  := "ADB1" id(u32) row_count(u32) row*
@@ -19,8 +21,8 @@
 //!   tag 4 = Bool   payload u8
 //! ```
 //!
-//! and the columnar `ADB2` ([`encode_block_columnar`]): a per-column
-//! directory followed by contiguous per-column payloads, so a reader
+//! and `ADB2` ([`encode_block_columnar`]): a per-column directory
+//! followed by contiguous per-column payloads, so a reader
 //! can decode a single column — or a single row range — without
 //! touching the rest of the block ([`LazyBlock`]):
 //!
@@ -36,13 +38,14 @@
 //!              tag 255 Mixed  per cell ADB1 value encoding
 //! ```
 //!
-//! `Mixed` columns (heterogeneous cell types) and ragged row sets
-//! (mixed arity, which fall back to whole-block `ADB1`) keep the
+//! A typed cell's payload is its `ADB1` value payload without the
+//! tag. `Mixed` columns (heterogeneous cell types) and ragged or
+//! arity-0 row sets (which fall back to whole-block `ADB1`) keep the
 //! columnar writer lossless for any input [`decode_block`] accepts.
 
 use std::sync::Arc;
 
-use adaptdb_common::{ColumnVec, Error, RecordBatch, Result, Row, Value};
+use adaptdb_common::{ColumnVec, Error, Result, Row, Value, ValueType};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::block::Block;
@@ -56,74 +59,132 @@ pub const BLOCK_MAGIC_V2: &[u8; 4] = b"ADB2";
 /// Directory tag of a heterogeneous (`Mixed`) column in `ADB2`.
 const COL_TAG_MIXED: u8 = 255;
 
-/// Append the encoding of one value.
+/// Append the encoding of one value: its tag, then its payload.
 pub fn encode_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Int(x) => {
-            buf.put_u8(0);
-            buf.put_i64_le(*x);
-        }
-        Value::Double(x) => {
-            buf.put_u8(1);
-            buf.put_u64_le(x.to_bits());
-        }
-        Value::Str(s) => {
-            buf.put_u8(2);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
-        Value::Date(d) => {
-            buf.put_u8(3);
-            buf.put_i32_le(*d);
-        }
-        Value::Bool(b) => {
-            buf.put_u8(4);
-            buf.put_u8(*b as u8);
-        }
+    buf.put_u8(value_tag(v.value_type()));
+    encode_payload(buf, v);
+}
+
+/// The tag byte of a value type, shared by `ADB1` values and `ADB2`
+/// typed column directories.
+fn value_tag(t: ValueType) -> u8 {
+    match t {
+        ValueType::Int => 0,
+        ValueType::Double => 1,
+        ValueType::Str => 2,
+        ValueType::Date => 3,
+        ValueType::Bool => 4,
     }
 }
 
-/// Decode one value, advancing `buf`.
+/// Append one value's payload without its tag. The payload is exactly
+/// [`Value::byte_size`] bytes long.
+fn encode_payload(buf: &mut BytesMut, v: &Value) {
+    match v {
+        Value::Int(x) => buf.put_i64_le(*x),
+        Value::Double(x) => buf.put_u64_le(x.to_bits()),
+        Value::Str(s) => {
+            buf.put_u32_le(s.len() as u32);
+            buf.put_slice(s.as_bytes());
+        }
+        Value::Date(d) => buf.put_i32_le(*d),
+        Value::Bool(b) => buf.put_u8(*b as u8),
+    }
+}
+
+/// Decode one value (tag, then payload), advancing `buf`.
 pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
     if buf.remaining() < 1 {
         return Err(Error::Codec("truncated value tag".into()));
     }
     let tag = buf.get_u8();
-    macro_rules! need {
-        ($n:expr, $what:literal) => {
-            if buf.remaining() < $n {
-                return Err(Error::Codec(concat!("truncated ", $what).into()));
-            }
-        };
+    decode_payload(tag, buf)
+}
+
+/// Decode one tagless payload of the value type `tag`, advancing `buf`
+/// — an `ADB1` value after its tag, or one cell of a typed `ADB2`
+/// column.
+fn decode_payload(tag: u8, buf: &mut Bytes) -> Result<Value> {
+    if let Some(w) = fixed_width(tag) {
+        if buf.remaining() < w {
+            return Err(Error::Codec(format!("truncated payload of value tag {tag}")));
+        }
+        let v = fixed_cell(tag, buf);
+        buf.advance(w);
+        return Ok(v);
     }
+    if tag != 2 {
+        return Err(Error::Codec(format!("unknown value tag {tag}")));
+    }
+    if buf.remaining() < 4 {
+        return Err(Error::Codec("truncated Str length".into()));
+    }
+    let len = buf.get_u32_le() as usize;
+    if buf.remaining() < len {
+        return Err(Error::Codec("truncated Str payload".into()));
+    }
+    let bytes = buf.split_to(len);
+    let s = std::str::from_utf8(&bytes)
+        .map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))?;
+    Ok(Value::Str(s.to_string()))
+}
+
+/// Payload width of a fixed-width value tag (Int, Double, Date, Bool);
+/// `None` for Str and unknown tags.
+fn fixed_width(tag: u8) -> Option<usize> {
     match tag {
-        0 => {
-            need!(8, "Int");
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        1 => {
-            need!(8, "Double");
-            Ok(Value::Double(f64::from_bits(buf.get_u64_le())))
-        }
-        2 => {
-            need!(4, "Str length");
-            let len = buf.get_u32_le() as usize;
-            need!(len, "Str payload");
-            let bytes = buf.split_to(len);
-            let s = std::str::from_utf8(&bytes)
-                .map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))?;
-            Ok(Value::Str(s.to_string()))
-        }
-        3 => {
-            need!(4, "Date");
-            Ok(Value::Date(buf.get_i32_le()))
-        }
-        4 => {
-            need!(1, "Bool");
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        other => Err(Error::Codec(format!("unknown value tag {other}"))),
+        0 | 1 => Some(8),
+        3 => Some(4),
+        4 => Some(1),
+        _ => None,
     }
+}
+
+/// Decode the fixed-width payload of value tag `tag` at the front of
+/// `b`, which must hold at least [`fixed_width`] bytes.
+fn fixed_cell(tag: u8, b: &[u8]) -> Value {
+    let word = || b[..8].try_into().expect("an 8-byte slice");
+    match tag {
+        0 => Value::Int(i64::from_le_bytes(word())),
+        1 => Value::Double(f64::from_le_bytes(word())),
+        3 => Value::Date(i32::from_le_bytes(b[..4].try_into().expect("a 4-byte slice"))),
+        _ => Value::Bool(b[0] != 0),
+    }
+}
+
+/// Decode one cell of an `ADB2` column with directory tag `tag`: a
+/// tagless payload in a typed column, a whole `ADB1` value in a Mixed
+/// one.
+fn decode_cell(tag: u8, buf: &mut Bytes) -> Result<Value> {
+    if tag == COL_TAG_MIXED {
+        decode_value(buf)
+    } else {
+        decode_payload(tag, buf)
+    }
+}
+
+/// Skip one cell (see [`decode_cell`]) without materializing it — how
+/// the lazy reader walks variable-width payloads past unselected cells.
+fn skip_cell(tag: u8, buf: &mut Bytes) -> Result<()> {
+    let tag = if tag == COL_TAG_MIXED {
+        if buf.remaining() < 1 {
+            return Err(Error::Codec("truncated value tag".into()));
+        }
+        buf.get_u8()
+    } else {
+        tag
+    };
+    let len = match (fixed_width(tag), tag) {
+        (Some(w), _) => w,
+        (None, 2) if buf.remaining() >= 4 => buf.get_u32_le() as usize,
+        (None, 2) => return Err(Error::Codec("truncated Str length".into())),
+        _ => return Err(Error::Codec(format!("unknown value tag {tag}"))),
+    };
+    if buf.remaining() < len {
+        return Err(Error::Codec("truncated value payload".into()));
+    }
+    buf.advance(len);
+    Ok(())
 }
 
 /// Append the encoding of one row.
@@ -195,105 +256,49 @@ fn decode_block_v1(mut buf: Bytes) -> Result<Block> {
     Ok(Block::new(id, rows))
 }
 
-/// Skip one ADB1-encoded value without materializing it, advancing
-/// `buf`. Used by the lazy reader to walk variable-width payloads past
-/// unselected cells.
-fn skip_value(buf: &mut Bytes) -> Result<()> {
-    if buf.remaining() < 1 {
-        return Err(Error::Codec("truncated value tag".into()));
-    }
-    let tag = buf.get_u8();
-    let fixed = match tag {
-        0 | 1 => 8,
-        3 => 4,
-        4 => 1,
-        2 => {
-            if buf.remaining() < 4 {
-                return Err(Error::Codec("truncated Str length".into()));
-            }
-            buf.get_u32_le() as usize
-        }
-        other => return Err(Error::Codec(format!("unknown value tag {other}"))),
-    };
-    if buf.remaining() < fixed {
-        return Err(Error::Codec("truncated value payload".into()));
-    }
-    buf.advance(fixed);
-    Ok(())
-}
-
-/// Encode a block columnar (`ADB2`). Ragged row sets (mixed arity)
-/// cannot be laid out column-major, so they fall back to whole-block
+/// Encode a block columnar (`ADB2`), writing each column's payload
+/// straight from the rows into one buffer. Ragged row sets (mixed
+/// arity) cannot be laid out column-major, and arity-0 rows carry no
+/// columns to keep their count in, so both fall back to whole-block
 /// `ADB1` — [`decode_block`] dispatches on magic, making the fallback
 /// invisible to readers.
 pub fn encode_block_columnar(block: &Block) -> Bytes {
-    let Some(batch) = RecordBatch::try_from_rows(&block.rows) else {
-        return encode_block(block);
-    };
-    // Arity-0 rows carry no columns to lay out; keep them in ADB1 so
-    // the row count survives the round trip.
-    if batch.num_columns() == 0 && batch.num_rows() > 0 {
+    let rows = &block.rows;
+    let arity = rows.first().map_or(0, Row::arity);
+    if (arity == 0 && !rows.is_empty()) || rows.iter().any(|r| r.arity() != arity) {
         return encode_block(block);
     }
-    let encoded: Vec<(u8, BytesMut)> = batch.columns().iter().map(encode_column).collect();
-    let payload_len: usize = encoded.iter().map(|(_, p)| p.len()).sum();
-    let mut buf = BytesMut::with_capacity(14 + encoded.len() * 5 + payload_len);
+    // A cell's payload is its `byte_size`, plus a tag byte in a Mixed
+    // column: reserving for all-Mixed makes the buffer one allocation.
+    let cells: usize = rows.iter().flat_map(Row::values).map(|v| v.byte_size() + 1).sum();
+    let mut buf = BytesMut::with_capacity(14 + arity * 5 + cells);
     buf.put_slice(BLOCK_MAGIC_V2);
     buf.put_u32_le(block.id);
-    buf.put_u32_le(batch.num_rows() as u32);
-    buf.put_u16_le(batch.num_columns() as u16);
-    for (tag, payload) in &encoded {
-        buf.put_u8(*tag);
-        buf.put_u32_le(payload.len() as u32);
+    buf.put_u32_le(rows.len() as u32);
+    buf.put_u16_le(arity as u16);
+    // Directory entries are patched in as each column's length is known.
+    let dir_at = buf.len();
+    for _ in 0..arity * 5 {
+        buf.put_u8(0);
     }
-    for (_, payload) in encoded {
-        buf.put_slice(&payload);
+    for a in 0..arity {
+        // Typed when every cell shares the first cell's type, else Mixed.
+        let t = rows[0].values()[a].value_type();
+        let typed = rows.iter().all(|r| r.values()[a].value_type() == t);
+        let start = buf.len();
+        for r in rows {
+            if typed {
+                encode_payload(&mut buf, &r.values()[a]);
+            } else {
+                encode_value(&mut buf, &r.values()[a]);
+            }
+        }
+        let len = (buf.len() - start) as u32;
+        let entry = dir_at + a * 5;
+        buf[entry] = if typed { value_tag(t) } else { COL_TAG_MIXED };
+        buf[entry + 1..entry + 5].copy_from_slice(&len.to_le_bytes());
     }
     buf.freeze()
-}
-
-/// Encode one column as its `ADB2` directory tag plus payload bytes.
-fn encode_column(col: &ColumnVec) -> (u8, BytesMut) {
-    let mut buf = BytesMut::with_capacity(col.len() * 8);
-    match col {
-        ColumnVec::Int(v) => {
-            for x in v {
-                buf.put_i64_le(*x);
-            }
-            (0, buf)
-        }
-        ColumnVec::Double(v) => {
-            for x in v {
-                buf.put_u64_le(x.to_bits());
-            }
-            (1, buf)
-        }
-        ColumnVec::Str(v) => {
-            for s in v {
-                buf.put_u32_le(s.len() as u32);
-                buf.put_slice(s.as_bytes());
-            }
-            (2, buf)
-        }
-        ColumnVec::Date(v) => {
-            for x in v {
-                buf.put_i32_le(*x);
-            }
-            (3, buf)
-        }
-        ColumnVec::Bool(v) => {
-            for x in v {
-                buf.put_u8(*x as u8);
-            }
-            (4, buf)
-        }
-        ColumnVec::Mixed(v) => {
-            for x in v {
-                encode_value(&mut buf, x);
-            }
-            (COL_TAG_MIXED, buf)
-        }
-    }
 }
 
 /// Location of one column's payload inside a lazy block.
@@ -405,19 +410,20 @@ impl LazyBlock {
         for _ in 0..col_count {
             let tag = buf.get_u8();
             let len = buf.get_u32_le() as usize;
-            let width = match tag {
-                0 | 1 => Some(8),
-                3 => Some(4),
-                4 => Some(1),
-                2 | COL_TAG_MIXED => None,
-                other => return Err(Error::Codec(format!("unknown column tag {other}"))),
+            // Fixed-width payloads hold exactly `rows` cells; variable-
+            // width ones at least `rows` minimal cells (a Str cell's
+            // 4-byte length, a Mixed cell's tag + Bool). Every decoder
+            // after this parse can then trust the row count.
+            let (width, exact) = match (fixed_width(tag), tag) {
+                (Some(w), _) => (w, true),
+                (None, 2) => (4, false),
+                (None, COL_TAG_MIXED) => (2, false),
+                _ => return Err(Error::Codec(format!("unknown column tag {tag}"))),
             };
-            if let Some(w) = width {
-                if len != w * rows {
-                    return Err(Error::Codec(format!(
-                        "column payload length {len} != {w}×{rows} rows"
-                    )));
-                }
+            if len < width * rows || (exact && len != width * rows) {
+                return Err(Error::Codec(format!(
+                    "column payload length {len} does not fit {rows} rows of tag {tag}"
+                )));
             }
             cols.push(ColRegion { tag, start: offset, end: offset + len });
             offset += len;
@@ -511,66 +517,24 @@ impl LazyBlock {
                     picked.iter().map(|_| Vec::with_capacity(cols.len())).collect();
                 for col in cols {
                     let mut payload = bytes.slice(col.start..col.end);
-                    match col.tag {
-                        0 => {
-                            for (j, &i) in picked.iter().enumerate() {
-                                let b: [u8; 8] = payload[i * 8..i * 8 + 8].try_into().unwrap();
-                                out[j].push(Value::Int(i64::from_le_bytes(b)));
-                            }
+                    if let Some(w) = fixed_width(col.tag) {
+                        // Fixed width: seek straight to each selected cell.
+                        for (j, &i) in picked.iter().enumerate() {
+                            out[j].push(fixed_cell(col.tag, &payload[i * w..]));
                         }
-                        1 => {
-                            for (j, &i) in picked.iter().enumerate() {
-                                let b: [u8; 8] = payload[i * 8..i * 8 + 8].try_into().unwrap();
-                                out[j].push(Value::Double(f64::from_bits(u64::from_le_bytes(b))));
+                        continue;
+                    }
+                    // Variable width: walk the payload, skipping
+                    // unselected cells.
+                    let mut next = picked.iter().zip(0..).peekable();
+                    for i in 0..end {
+                        match next.peek() {
+                            Some(&(&p, j)) if p == i => {
+                                out[j].push(decode_cell(col.tag, &mut payload)?);
+                                next.next();
                             }
+                            _ => skip_cell(col.tag, &mut payload)?,
                         }
-                        3 => {
-                            for (j, &i) in picked.iter().enumerate() {
-                                let b: [u8; 4] = payload[i * 4..i * 4 + 4].try_into().unwrap();
-                                out[j].push(Value::Date(i32::from_le_bytes(b)));
-                            }
-                        }
-                        4 => {
-                            for (j, &i) in picked.iter().enumerate() {
-                                out[j].push(Value::Bool(payload[i] != 0));
-                            }
-                        }
-                        2 => {
-                            let mut next = picked.iter().zip(0..).peekable();
-                            for i in 0..end {
-                                if payload.remaining() < 4 {
-                                    return Err(Error::Codec("truncated Str length".into()));
-                                }
-                                let len = payload.get_u32_le() as usize;
-                                if payload.remaining() < len {
-                                    return Err(Error::Codec("truncated Str payload".into()));
-                                }
-                                match next.peek() {
-                                    Some(&(&p, j)) if p == i => {
-                                        let raw = payload.split_to(len);
-                                        let s = std::str::from_utf8(&raw).map_err(|e| {
-                                            Error::Codec(format!("invalid UTF-8 in Str: {e}"))
-                                        })?;
-                                        out[j].push(Value::Str(s.to_string()));
-                                        next.next();
-                                    }
-                                    _ => payload.advance(len),
-                                }
-                            }
-                        }
-                        COL_TAG_MIXED => {
-                            let mut next = picked.iter().zip(0..).peekable();
-                            for i in 0..end {
-                                match next.peek() {
-                                    Some(&(&p, j)) if p == i => {
-                                        out[j].push(decode_value(&mut payload)?);
-                                        next.next();
-                                    }
-                                    _ => skip_value(&mut payload)?,
-                                }
-                            }
-                        }
-                        other => return Err(Error::Codec(format!("unknown column tag {other}"))),
                     }
                 }
                 Ok(picked.into_iter().zip(out).map(|(_, values)| Row::new(values)).collect())
@@ -585,18 +549,25 @@ impl LazyBlock {
         match self.inner {
             LazyInner::Rows(rows) => Ok(Block::new(self.id, rows)),
             LazyInner::Columnar { dir, bytes } => {
-                let rows = dir.rows;
-                let mut columns = Vec::with_capacity(dir.cols.len());
-                for col in &dir.cols {
-                    columns.push(decode_column(col.tag, rows, bytes.slice(col.start..col.end))?);
-                }
-                let batch = RecordBatch::from_columns(columns);
-                // A zero-column batch still carries a row count on the
+                // A zero-column block still carries a row count on the
                 // wire; only rows == 0 survives that round trip.
-                if batch.num_columns() == 0 && rows != 0 {
-                    return Err(Error::Codec(format!("{rows} rows but no columns")));
+                if dir.cols.is_empty() && dir.rows != 0 {
+                    return Err(Error::Codec(format!("{} rows but no columns", dir.rows)));
                 }
-                Ok(Block::new(self.id, batch.to_rows()))
+                // Cells move straight from each column's payload into
+                // their rows: no intermediate column vectors.
+                let mut rows: Vec<Vec<Value>> =
+                    (0..dir.rows).map(|_| Vec::with_capacity(dir.cols.len())).collect();
+                for col in &dir.cols {
+                    let mut payload = bytes.slice(col.start..col.end);
+                    for row in rows.iter_mut() {
+                        row.push(decode_cell(col.tag, &mut payload)?);
+                    }
+                    if payload.has_remaining() {
+                        return Err(Error::Codec("trailing bytes after column".into()));
+                    }
+                }
+                Ok(Block::new(self.id, rows.into_iter().map(Row::new).collect()))
             }
         }
     }
@@ -634,23 +605,11 @@ fn decode_column(tag: u8, rows: usize, mut payload: Bytes) -> Result<ColumnVec> 
             Ok(ColumnVec::Bool(v))
         }
         2 => {
-            // Variable-width payloads are not length-validated by the
-            // directory (only fixed-width ones are), so the row count
-            // is untrusted here: cap the preallocation by the payload
-            // size (every cell carries at least its 4-byte length).
-            let mut v = Vec::with_capacity(rows.min(payload.remaining() / 4));
+            let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                if payload.remaining() < 4 {
-                    return Err(Error::Codec("truncated Str length".into()));
+                if let Value::Str(s) = decode_payload(2, &mut payload)? {
+                    v.push(s);
                 }
-                let len = payload.get_u32_le() as usize;
-                if payload.remaining() < len {
-                    return Err(Error::Codec("truncated Str payload".into()));
-                }
-                let raw = payload.split_to(len);
-                let s = std::str::from_utf8(&raw)
-                    .map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))?;
-                v.push(s.to_string());
             }
             if payload.has_remaining() {
                 return Err(Error::Codec("trailing bytes after Str column".into()));
@@ -658,9 +617,7 @@ fn decode_column(tag: u8, rows: usize, mut payload: Bytes) -> Result<ColumnVec> 
             Ok(ColumnVec::Str(v))
         }
         COL_TAG_MIXED => {
-            // Untrusted count, same as Str: the smallest ADB1 value
-            // (a Bool) is 2 bytes.
-            let mut v = Vec::with_capacity(rows.min(payload.remaining() / 2));
+            let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
                 v.push(decode_value(&mut payload)?);
             }
@@ -802,6 +759,52 @@ mod tests {
     fn columnar_magic_is_adb2() {
         let enc = encode_block_columnar(&Block::new(1, vec![row![7i64]]));
         assert_eq!(&enc[0..4], BLOCK_MAGIC_V2);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Byte-exact `ADB2` pins: the encoder writes each column straight
+    /// from the rows, and these are the bytes the earlier
+    /// batch-building encoder produced for the same blocks — so blocks
+    /// written before and after it are indistinguishable.
+    #[test]
+    fn columnar_encoding_matches_golden_bytes() {
+        let full = Block::new(
+            0x0102_0304,
+            vec![
+                row![-2i64, 1.5, "ab", Value::Date(19000), true, 7i64],
+                row![i64::MAX, f64::NAN, "", Value::Date(-1), false, "x"],
+                row![0i64, -0.0, "é", Value::Date(0), true, 2.0],
+            ],
+        );
+        let cases = [
+            (
+                full,
+                "41444232040302010300000006000018000000011800000002100000000\
+                 30c0000000403000000ff18000000feffffffffffffffffffffffffffff7f\
+                 0000000000000000000000000000f83f000000000000f87f000000000000\
+                 00800200000061620000000002000000c3a9384a0000ffffffff00000000\
+                 010001000700000000000000020100000078010000000000000040",
+            ),
+            (Block::new(5, vec![]), "4144423205000000000000000000"),
+            // Ragged arity: whole-block ADB1 fallback.
+            (
+                Block::new(6, vec![row![1i64], row![1i64, true]]),
+                "414442310600000002000000010000010000000000000002000001000000000000000401",
+            ),
+            // Arity 0: ADB1 keeps the row count.
+            (
+                Block::new(7, vec![Row::new(vec![]), Row::new(vec![])]),
+                "41444231070000000200000000000000",
+            ),
+        ];
+        for (block, golden) in cases {
+            let enc = encode_block_columnar(&block);
+            assert_eq!(hex(&enc), golden, "block {}", block.id);
+            assert_eq!(decode_block(enc).unwrap(), block);
+        }
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub struct FetchCompletion {
     pub kind: ReadKind,
     /// The fetched payload. Row-format (`ADB1`) blocks arrive fully
     /// decoded inside the lazy wrapper; columnar (`ADB2`) blocks arrive
-    /// header-validated with columns still undecoded, so a columnar
-    /// consumer can materialize only what its selection needs.
+    /// header-validated with columns still undecoded, so a consumer can
+    /// materialize only what its selection needs.
     pub payload: LazyBlock,
 }
 

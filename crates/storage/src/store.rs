@@ -13,7 +13,7 @@
 //! repartitioning pass, only behind individual map operations.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use adaptdb_common::{BlockId, Error, GlobalBlockId, Result, Row};
@@ -38,11 +38,6 @@ pub struct BlockStore {
     /// must keep this at zero; [`BlockStore::unaccounted_reads`] lets
     /// callers assert that in debug builds.
     unaccounted: AtomicUsize,
-    /// Encode new blocks columnar (`ADB2`) instead of row-oriented
-    /// (`ADB1`). Reads always dispatch on magic, so flipping this
-    /// mid-lifetime leaves existing blocks decodable — the formats
-    /// coexist freely within one store.
-    columnar: AtomicBool,
     /// Durable manifest journal, when the database runs with a real-file
     /// backend. While attached, every non-scratch block write, remove,
     /// and table drop is logged write-ahead of the catalog commit that
@@ -71,7 +66,6 @@ impl BlockStore {
             meta: RwLock::new(HashMap::new()),
             next_id: Mutex::new(HashMap::new()),
             unaccounted: AtomicUsize::new(0),
-            columnar: AtomicBool::new(false),
             journal: RwLock::new(None),
             cache: RwLock::new(None),
             dirs: RwLock::new(HashMap::new()),
@@ -118,21 +112,6 @@ impl BlockStore {
         if let Some(j) = self.journal.read().as_ref() {
             j.append(&make()).expect("manifest journal append failed");
         }
-    }
-
-    /// Switch the on-write encoding: `true` = columnar `ADB2`, `false`
-    /// (the default) = row-oriented `ADB1`. Block *boundaries*, ids,
-    /// metadata, and every simulated count are identical either way —
-    /// sizing uses the canonical row-semantic byte size, never the
-    /// encoded length.
-    pub fn set_columnar(&self, on: bool) {
-        self.columnar.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether new blocks are encoded columnar (see
-    /// [`BlockStore::set_columnar`]).
-    pub fn columnar(&self) -> bool {
-        self.columnar.load(Ordering::Relaxed)
     }
 
     /// Shared access to the underlying simulated DFS (a read guard —
@@ -184,11 +163,7 @@ impl BlockStore {
         let id = self.allocate_id(table);
         let block = Block::new(id, rows);
         let meta = block.compute_meta(arity);
-        let encoded = if self.columnar() {
-            codec::encode_block_columnar(&block)
-        } else {
-            codec::encode_block(&block)
-        };
+        let encoded = codec::encode_block_columnar(&block);
         // The DFS is sized with the canonical row-semantic byte size
         // (Σ `Row::byte_size`, same figure as `meta.byte_size`), not
         // the encoded length — so placement and any byte accounting
@@ -214,9 +189,11 @@ impl BlockStore {
     }
 
     /// Re-insert one block from a durable journal's committed prefix:
-    /// its encoded bytes, metadata re-derived by decoding them, and the
-    /// exact replica placement it had. Reserves the id and never
-    /// journals (recovery must not re-log history).
+    /// its encoded bytes (either format — journals written before
+    /// `ADB2` hold `ADB1`), metadata re-derived by decoding them, and
+    /// the exact replica placement it had. Reserves the id and never
+    /// journals (recovery must not re-log history). Replacing a live
+    /// block drops its cached bytes and memoized directory.
     pub fn restore_block(
         &self,
         table: &str,
@@ -235,9 +212,31 @@ impl BlockStore {
         let meta = block.compute_meta(arity);
         let gid = GlobalBlockId::new(table, id);
         self.dfs.write().restore_block(gid.clone(), meta.byte_size, replicas);
+        if let Some(cache) = self.cache.read().as_ref() {
+            cache.invalidate(&gid);
+        }
+        self.dirs.write().remove(&gid);
         self.data.write().insert(gid, encoded);
         self.meta.write().entry(table.to_string()).or_default().insert(id, meta);
         self.reserve_ids(table, id + 1);
+        Ok(())
+    }
+
+    /// Re-encode every live block of `table` in the legacy row format
+    /// `ADB1`, in place: same ids, rows, metadata and replica
+    /// placement, through the recovery path ([`codec::encode_block`] +
+    /// [`BlockStore::restore_block`]) that a journal written before
+    /// `ADB2` replays. Format-equivalence checks use it to hold one
+    /// layout in both formats.
+    pub fn rewrite_as_adb1(&self, table: &str) -> Result<()> {
+        for id in self.block_ids(table) {
+            let gid = GlobalBlockId::new(table, id);
+            let bytes = self.block_bytes(&gid).ok_or(Error::UnknownBlock(id))?;
+            let block = codec::decode_block(bytes)?;
+            let arity = self.with_block_meta(table, id, |m| m.ranges.len())?;
+            let replicas = self.dfs.read().locate(&gid)?.replicas.clone();
+            self.restore_block(table, id, arity, replicas, codec::encode_block(&block))?;
+        }
         Ok(())
     }
 
@@ -636,47 +635,49 @@ mod tests {
     }
 
     #[test]
-    fn columnar_flag_switches_encoding_not_semantics() {
+    fn adb1_rewrite_changes_encoding_not_semantics() {
         let rows = vec![row![1i64, "aa", 1.5], row![2i64, "bb", 2.5]];
         let s_row = store();
         let s_col = store();
-        s_col.set_columnar(true);
-        assert!(!s_row.columnar());
-        assert!(s_col.columnar());
         let id_r = s_row.write_block("t", rows.clone(), 3, None);
         let id_c = s_col.write_block("t", rows.clone(), 3, None);
         assert_eq!(id_r, id_c);
+        let placement = s_row.dfs().locate(&GlobalBlockId::new("t", id_r)).unwrap().clone();
+        s_row.rewrite_as_adb1("t").unwrap();
         // The stored bytes differ by magic...
         let raw_r = s_row.block_bytes(&GlobalBlockId::new("t", id_r)).unwrap();
         let raw_c = s_col.block_bytes(&GlobalBlockId::new("t", id_c)).unwrap();
         assert_eq!(&raw_r[0..4], codec::BLOCK_MAGIC);
         assert_eq!(&raw_c[0..4], codec::BLOCK_MAGIC_V2);
-        // ...but decoded rows, metadata, and DFS sizing are identical.
+        // ...but decoded rows, metadata, placement, and DFS sizing are
+        // identical, and the rewrite allocated no ids.
         let clock = SimClock::new();
         let b_r = s_row.read_block("t", id_r, 0, &clock).unwrap();
         let b_c = s_col.read_block("t", id_c, 0, &clock).unwrap();
         assert_eq!(b_r, b_c);
         assert_eq!(s_row.block_meta("t", id_r).unwrap(), s_col.block_meta("t", id_c).unwrap());
+        assert_eq!(s_row.dfs().locate(&GlobalBlockId::new("t", id_r)).unwrap(), &placement);
         assert_eq!(s_row.dfs().logical_bytes(), s_col.dfs().logical_bytes());
+        assert_eq!(s_row.allocate_id("t"), s_col.allocate_id("t"));
     }
 
     #[test]
     fn lazy_read_charges_and_classifies_like_eager() {
         let s = store();
-        s.set_columnar(true);
-        let id = s.write_block("t", vec![row![1i64, "x"], row![2i64, "y"]], 2, Some(0));
+        let id = s.write_block("t", vec![row![3i64, "z"]], 2, Some(0));
+        // Mixed formats coexist: the first block is legacy ADB1, the
+        // second is written (as every new block is) in ADB2.
+        s.rewrite_as_adb1("t").unwrap();
+        let id2 = s.write_block("t", vec![row![1i64, "x"], row![2i64, "y"]], 2, Some(0));
         let clock = SimClock::new();
-        let (lazy, kind) = s.read_lazy_classified("t", id, 0, &clock).unwrap();
+        let (lazy2, kind) = s.read_lazy_classified("t", id2, 0, &clock).unwrap();
         assert_eq!(kind, ReadKind::Local);
-        assert_eq!(lazy.row_count(), 2);
+        assert_eq!(lazy2.row_count(), 2);
         assert_eq!(clock.snapshot().local_reads, 1);
-        // Mixed formats coexist: flip the flag, write ADB1, read both.
-        s.set_columnar(false);
-        let id2 = s.write_block("t", vec![row![3i64, "z"]], 2, Some(0));
-        let (lazy2, _) = s.read_lazy_classified("t", id2, 0, &clock).unwrap();
-        assert_eq!(lazy2.row_count(), 1);
-        assert_eq!(lazy.into_block().unwrap().rows[0], row![1i64, "x"]);
-        assert_eq!(lazy2.into_block().unwrap().rows[0], row![3i64, "z"]);
+        let (lazy, _) = s.read_lazy_classified("t", id, 0, &clock).unwrap();
+        assert_eq!(lazy.row_count(), 1);
+        assert_eq!(lazy2.into_block().unwrap().rows[0], row![1i64, "x"]);
+        assert_eq!(lazy.into_block().unwrap().rows[0], row![3i64, "z"]);
     }
 
     #[test]

@@ -1,16 +1,20 @@
-//! Columnar-vs-row equivalence acceptance tests.
+//! Block-format equivalence acceptance tests: `ADB2` vs legacy `ADB1`.
 //!
-//! The columnar block format (`ADB2`) and the column-wise execution
-//! paths (selection bitsets, zone-map skipping, morsel-driven gathers,
-//! batch probes) change *how* bytes are laid out and rows are
-//! materialized — never what a query returns or what it costs in the
-//! simulated currency. These tests pin that end-to-end: on TPC-H and on
-//! Zipfian synthetic joins, columnar on must be row-identical to
-//! columnar off with bit-identical `IoStats` (including
-//! `zone_skipped`), `ShuffleStats`, block boundaries, and per-block
-//! byte sizes; zone-map skipping must never drop a qualifying row under
-//! randomized predicates; and legacy `ADB1` blocks must keep decoding
-//! inside a columnar database.
+//! The engine writes every block in the columnar `ADB2` format and
+//! executes column-wise (selection bitsets, zone-map skipping,
+//! morsel-driven gathers, batch probes). Blocks in the row-oriented
+//! `ADB1` format still exist — a journal written before `ADB2` holds
+//! them — and are produced here through that recovery path
+//! (`BlockStore::rewrite_as_adb1`: `codec::encode_block` +
+//! `BlockStore::restore_block`). The format changes *how* bytes are
+//! laid out and rows are materialized — never what a query returns or
+//! what it costs in the simulated currency. These tests pin that
+//! end-to-end: on TPC-H and on Zipfian synthetic joins, a layout held
+//! in `ADB1` must be row-identical to the same layout in `ADB2` with
+//! bit-identical `IoStats` (including `zone_skipped`), `ShuffleStats`,
+//! block boundaries, and per-block byte sizes; zone-map skipping must
+//! never drop a qualifying row under randomized predicates; and `ADB1`
+//! blocks must keep decoding inside a database that writes `ADB2`.
 
 use adaptdb::{Database, DbConfig, Mode};
 use adaptdb_common::{row, CmpOp, Predicate, PredicateSet, Query, Row, ScanQuery, Value};
@@ -28,7 +32,8 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
 
 const TPCH_TABLES: [&str; 5] = ["lineitem", "orders", "customer", "part", "supplier"];
 
-fn tpch_db(columnar: bool, mode: Mode) -> Database {
+/// The converged TPC-H layout, held in legacy `ADB1` when `adb1`.
+fn tpch_db(adb1: bool, mode: Mode) -> Database {
     let gen = TpchGen::new(0.02, 5);
     let config = DbConfig {
         nodes: 4,
@@ -38,25 +43,28 @@ fn tpch_db(columnar: bool, mode: Mode) -> Database {
         threads: 1,
         adapt_selections: false,
         fetch_window: 4,
-        columnar,
         morsel_rows: 24, // several morsels per block
         seed: 5,
         ..DbConfig::default()
     };
     let mut db = Database::new(config.with_mode(mode));
     gen.load_converged(&mut db, li::ORDERKEY).unwrap();
+    if adb1 {
+        for t in db.table_names() {
+            db.store().rewrite_as_adb1(&t).unwrap();
+        }
+    }
     db
 }
 
-/// Satellite pin: the canonical byte-size definition makes block
-/// boundaries, per-block row counts, byte sizes, and zone maps
-/// *identical* across formats — the writer flushes on the same row
-/// budget and meters the same logical bytes whichever encoding it
-/// emits.
+/// The canonical byte-size definition makes block boundaries,
+/// per-block row counts, byte sizes, and zone maps *identical* across
+/// formats — metadata re-derived from `ADB1` bytes on recovery equals
+/// what the `ADB2` writer recorded.
 #[test]
 fn block_boundaries_and_metadata_are_format_invariant() {
-    let row_db = tpch_db(false, Mode::Adaptive);
-    let col_db = tpch_db(true, Mode::Adaptive);
+    let row_db = tpch_db(true, Mode::Adaptive);
+    let col_db = tpch_db(false, Mode::Adaptive);
     for t in TPCH_TABLES {
         let row_blocks = row_db.table(t).unwrap().all_blocks();
         let col_blocks = col_db.table(t).unwrap().all_blocks();
@@ -77,14 +85,15 @@ fn block_boundaries_and_metadata_are_format_invariant() {
 }
 
 /// TPC-H end-to-end (scans + every join template, adaptation and
-/// migrations included): columnar execution must return the same rows
-/// with bit-identical I/O, shuffle, and repartition accounting —
-/// `IoStats` equality covers `zone_skipped` too.
+/// migrations included): the `ADB2` layout must return the same rows
+/// as the `ADB1` layout with bit-identical I/O, shuffle, and
+/// repartition accounting — `IoStats` equality covers `zone_skipped`
+/// too.
 #[test]
 fn tpch_columnar_matches_row_format_bit_identically() {
     for mode in [Mode::Adaptive, Mode::Amoeba] {
-        let mut row_db = tpch_db(false, mode);
-        let mut col_db = tpch_db(true, mode);
+        let mut row_db = tpch_db(true, mode);
+        let mut col_db = tpch_db(false, mode);
         let mut q_rng = adaptdb_common::rng::derived(5, "columnar-equivalence");
         let queries: Vec<Query> =
             Template::all().iter().map(|t| t.instantiate(&mut q_rng)).collect();
@@ -117,8 +126,8 @@ fn tpch_columnar_matches_row_format_bit_identically() {
 /// must return identical rows.
 #[test]
 fn tpch_selective_scan_skips_zones_identically() {
-    let mut row_db = tpch_db(false, Mode::Fixed);
-    let mut col_db = tpch_db(true, Mode::Fixed);
+    let mut row_db = tpch_db(true, Mode::Fixed);
+    let mut col_db = tpch_db(false, Mode::Fixed);
     // lineitem is partitioned on orderkey; shipdate is only visible to
     // the per-block zone maps.
     let q = Query::Scan(ScanQuery::new(
@@ -132,14 +141,13 @@ fn tpch_selective_scan_skips_zones_identically() {
     assert!(r.stats.query_io.zone_skipped > 0, "zone maps must exclude whole blocks");
 }
 
-/// Zipfian synthetic join on the raw executor surface: columnar on/off
-/// must agree row for row and count for count, skew mitigations
-/// included.
+/// Zipfian synthetic join on the raw executor surface: inputs in
+/// `ADB1` and in `ADB2` must agree row for row and count for count,
+/// skew mitigations included.
 #[test]
 fn zipfian_shuffle_join_is_format_invariant() {
-    let mk = |columnar: bool| {
+    let mk = |adb1: bool| {
         let store = BlockStore::new(4, 1, 9);
-        store.set_columnar(columnar);
         let mut rng = adaptdb_common::rng::derived(9, "columnar-zipf");
         let fact = zipf::zipf_rows(2000, 100, 1.1, &mut rng);
         let dim = zipf::key_rows(100);
@@ -151,10 +159,14 @@ fn zipfian_shuffle_join_is_format_invariant() {
         for chunk in dim.chunks(50) {
             rids.push(store.write_block("r", chunk.to_vec(), 2, None));
         }
+        if adb1 {
+            store.rewrite_as_adb1("l").unwrap();
+            store.rewrite_as_adb1("r").unwrap();
+        }
         (store, lids, rids)
     };
-    let run = |columnar: bool| {
-        let (store, lids, rids) = mk(columnar);
+    let run = |adb1: bool| {
+        let (store, lids, rids) = mk(adb1);
         let clock = SimClock::new();
         let ctx = ExecContext::new(&store, &clock, 2)
             .with_shuffle(ShuffleOptions {
@@ -163,7 +175,6 @@ fn zipfian_shuffle_join_is_format_invariant() {
                 split_threshold: Some(2.0),
             })
             .with_fetch_window(4)
-            .with_columnar(columnar)
             .with_morsel_rows(16);
         let none = PredicateSet::none();
         let rows = shuffle_join(
@@ -183,22 +194,22 @@ fn zipfian_shuffle_join_is_format_invariant() {
         .unwrap();
         (sorted(rows), clock.snapshot(), clock.shuffle_snapshot())
     };
-    let (row_rows, row_io, row_sh) = run(false);
-    let (col_rows, col_io, col_sh) = run(true);
+    let (row_rows, row_io, row_sh) = run(true);
+    let (col_rows, col_io, col_sh) = run(false);
     assert_eq!(row_rows.len(), 2000, "every fact row matches exactly one dim key");
     assert_eq!(row_rows, col_rows);
     assert_eq!(row_io, col_io);
     assert_eq!(row_sh, col_sh);
 }
 
-/// Legacy compatibility: a columnar database keeps reading `ADB1`
-/// blocks. The corpus is loaded with the legacy writer, then the
-/// engine runs columnar over it — and once adaptation migrates blocks,
-/// the table holds both wire formats at once. Results and accounting
-/// must match an all-row database throughout.
+/// Legacy compatibility: a database keeps reading `ADB1` blocks. The
+/// corpus is recovered in the legacy format, then the engine runs over
+/// it — and once adaptation migrates blocks, the table holds both wire
+/// formats at once. Results and accounting must match an all-`ADB2`
+/// database throughout.
 #[test]
 fn adb1_blocks_decode_inside_a_columnar_database() {
-    let mk = |columnar_engine: bool| {
+    let mk = |adb1: bool| {
         let gen = TpchGen::new(0.01, 13);
         let config = DbConfig {
             nodes: 4,
@@ -207,23 +218,25 @@ fn adb1_blocks_decode_inside_a_columnar_database() {
             buffer_blocks: 8,
             threads: 1,
             fetch_window: 4,
-            columnar: columnar_engine,
             seed: 13,
             ..DbConfig::default()
         };
         let mut db = Database::new(config.with_mode(Mode::Adaptive));
-        // Force the on-disk corpus to the legacy row format even when
-        // the engine is columnar: every loaded block is ADB1.
-        db.store().set_columnar(false);
         gen.load_converged(&mut db, li::ORDERKEY).unwrap();
-        db.store().set_columnar(columnar_engine);
+        if adb1 {
+            // Every loaded block becomes ADB1, as a pre-ADB2 journal
+            // recovers it.
+            for t in db.table_names() {
+                db.store().rewrite_as_adb1(&t).unwrap();
+            }
+        }
         db
     };
-    let mut row_db = mk(false);
-    let mut col_db = mk(true);
+    let mut row_db = mk(true);
+    let mut col_db = mk(false);
     let mut q_rng = adaptdb_common::rng::derived(13, "columnar-legacy");
-    // Join templates trigger migrations, so the columnar database ends
-    // up with ADB1 originals next to freshly-written ADB2 blocks.
+    // Join templates trigger migrations, so the legacy database ends up
+    // with ADB1 originals next to freshly-written ADB2 blocks.
     for (i, t) in Template::all().iter().enumerate() {
         let q = t.instantiate(&mut q_rng);
         let r = row_db.run(&q).unwrap();
@@ -238,16 +251,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Zone-map skipping never drops a qualifying row: for random data
-    /// and random predicates, the scan (columnar and row, serial and
-    /// pipelined) returns exactly the brute-force filter of the full
-    /// corpus, in insertion order.
+    /// and random predicates, the scan (over `ADB2` or `ADB1` blocks,
+    /// serial and pipelined) returns exactly the brute-force filter of
+    /// the full corpus, in insertion order.
     #[test]
     fn zone_map_skipping_never_drops_rows(
         keys in prop::collection::vec(-50i64..50, 1..120),
         attr in 0u16..3,
         op_pick in 0u8..6,
         bound in -60i64..60,
-        columnar_blocks in any::<bool>(),
+        adb1_blocks in any::<bool>(),
     ) {
         let op = [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
             [op_pick as usize];
@@ -266,25 +279,24 @@ proptest! {
         let expect: Vec<Row> = rows.iter().filter(|r| preds.matches(r)).cloned().collect();
 
         let store = BlockStore::new(2, 1, 1);
-        store.set_columnar(columnar_blocks);
         let mut ids = Vec::new();
         for chunk in rows.chunks(16) {
             ids.push(store.write_block("t", chunk.to_vec(), 1, None));
         }
-        for columnar_exec in [false, true] {
-            for window in [1usize, 4] {
-                let clock = SimClock::new();
-                let ctx = ExecContext::single(&store, &clock)
-                    .with_fetch_window(window)
-                    .with_columnar(columnar_exec)
-                    .with_morsel_rows(5);
-                let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
-                prop_assert_eq!(
-                    &got, &expect,
-                    "exec columnar={} window={} dropped or invented rows",
-                    columnar_exec, window
-                );
-            }
+        if adb1_blocks {
+            store.rewrite_as_adb1("t").unwrap();
+        }
+        for window in [1usize, 4] {
+            let clock = SimClock::new();
+            let ctx = ExecContext::single(&store, &clock)
+                .with_fetch_window(window)
+                .with_morsel_rows(5);
+            let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
+            prop_assert_eq!(
+                &got, &expect,
+                "adb1={} window={} dropped or invented rows",
+                adb1_blocks, window
+            );
         }
     }
 }

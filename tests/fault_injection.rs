@@ -17,15 +17,22 @@ fn schema2() -> Schema {
     Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)])
 }
 
-fn db(replication: usize) -> Database {
-    let config = DbConfig {
+fn config(replication: usize) -> DbConfig {
+    DbConfig {
         nodes: 4,
         replication,
         rows_per_block: 16,
         buffer_blocks: 2,
         threads: 1,
         ..DbConfig::default()
-    };
+    }
+}
+
+fn db(replication: usize) -> Database {
+    db_with(config(replication))
+}
+
+fn db_with(config: DbConfig) -> Database {
     let mut db = Database::new(config);
     db.create_table("l", schema2(), vec![1]).unwrap();
     db.create_table("r", schema2(), vec![1]).unwrap();
@@ -45,7 +52,8 @@ fn join() -> Query {
 /// join output is bit-identical.
 #[test]
 fn replicated_cluster_survives_node_loss() {
-    let mut d = db(2);
+    // Cache pinned off: the third run must read blocks, not hit cache.
+    let mut d = db_with(DbConfig { cache_blocks_per_node: 0, ..config(2) });
     let mut before = d.run(&join()).unwrap().rows;
     d.inject_node_failure(0);
     let mut after = d.run(&join()).unwrap().rows;

@@ -63,16 +63,23 @@ fn histogram_quantiles_track_reference_on_zipfian_samples() {
     assert_quantiles_within_one_bucket(samples, "zipfian");
 }
 
-fn tpch_db(trace: bool) -> Database {
-    let gen = TpchGen::new(0.02, 7);
-    let config = DbConfig {
+fn tpch_config(trace: bool) -> DbConfig {
+    DbConfig {
         rows_per_block: 100,
         buffer_blocks: 8,
         threads: 1,
         seed: 7,
         trace,
         ..DbConfig::default()
-    };
+    }
+}
+
+fn tpch_db(trace: bool) -> Database {
+    tpch_db_with(tpch_config(trace))
+}
+
+fn tpch_db_with(config: DbConfig) -> Database {
+    let gen = TpchGen::new(0.02, 7);
     let mut db = Database::new(config.with_mode(Mode::Adaptive));
     gen.load_upfront(&mut db).expect("load TPC-H");
     db
@@ -127,7 +134,9 @@ fn tracing_never_changes_accounting() {
 
 #[test]
 fn explain_analyze_blocks_are_exact_and_estimates_bounded() {
-    let mut db = tpch_db(false);
+    // Cache pinned off: the read bounds below are for block reads, and
+    // a repeated template would otherwise be served from cache.
+    let mut db = tpch_db_with(DbConfig { cache_blocks_per_node: 0, ..tpch_config(false) });
     for q in seed_queries(3) {
         let report = db.explain_analyze(&q).expect("explain analyze");
         assert!(!db.config().trace, "explain_analyze must restore the tracing flag");
