@@ -1,12 +1,14 @@
 //! Cheap per-query cost estimation — the admission-control signal.
 //!
-//! The planner's `EXPLAIN` ([`crate::explain`]) reports everything it
-//! can know about a plan, including the hyper-join schedule, which
-//! requires reading per-block metadata ranges. Admission control needs
-//! something cheaper: a projection good enough to tell a point query
-//! from a scan storm *before* the query waits in a queue, computed from
-//! partition-tree lookups alone (no plan construction, no block
-//! metadata, no data reads).
+//! `EXPLAIN` ([`crate::explain`]) renders the full
+//! [`crate::planner::QueryPlan`], including the hyper-join schedule,
+//! which requires reading per-block metadata ranges. Admission control
+//! needs something cheaper: a projection good enough to tell a point
+//! query from a scan storm *before* the query waits in a queue, computed
+//! from partition-tree lookups alone (no plan construction, no block
+//! metadata, no data reads). It shares only the mode-aware candidate
+//! rule ([`crate::planner::side_candidates`]) with the planner, so its
+//! candidate counts are the plan's.
 //!
 //! [`estimate_query`] walks the query's referenced tables through their
 //! layout snapshots and counts candidate blocks after `lookup(T, q)`
@@ -18,12 +20,11 @@
 //! everything else stays interactive. `EXPLAIN` surfaces the same
 //! classification so operators can see where a query would be admitted.
 
-use adaptdb_common::{CostParams, Query, Result};
+use adaptdb_common::{AttrId, CostParams, Query, Result, ScanQuery};
 
 use crate::config::DbConfig;
-use crate::planner::classify_candidates;
+use crate::planner::side_candidates;
 use crate::readpath::SnapshotSource;
-use crate::Mode;
 
 /// Scheduling lane a query is admitted into — the priority classes of
 /// the server's cost-aware scheduler.
@@ -169,24 +170,6 @@ pub fn project_fetch_costs(
     (concurrency, serial, pipelined)
 }
 
-/// Candidate blocks one table contributes to the query, after tree
-/// pruning (FullScan mode prunes nothing, by definition).
-fn table_candidates<S: SnapshotSource>(
-    src: &S,
-    table: &str,
-    preds: &adaptdb_common::PredicateSet,
-    join_attr: Option<adaptdb_common::AttrId>,
-) -> Result<usize> {
-    let snap = src.snapshot(table)?;
-    if src.config().mode == Mode::FullScan {
-        return Ok(snap.all_blocks().len());
-    }
-    Ok(match join_attr {
-        Some(attr) => classify_candidates(&snap, preds, attr).len(),
-        None => snap.lookup_blocks(preds).len(),
-    })
-}
-
 /// Estimate `query` from layout snapshots alone: candidate blocks per
 /// referenced table, the Eq. 1 shuffle upper bound, and the projected
 /// shuffle fetch leg. No plans are built and no blocks (or block
@@ -195,50 +178,28 @@ fn table_candidates<S: SnapshotSource>(
 pub fn estimate_query<S: SnapshotSource>(src: &S, query: &Query) -> Result<CostEstimate> {
     let config = src.config();
     let params = &config.cost;
+    let candidates = |s: &ScanQuery, attr: Option<AttrId>| -> Result<usize> {
+        Ok(side_candidates(config.mode, &*src.snapshot(&s.table)?, &s.predicates, attr).len())
+    };
     let mut est = CostEstimate { est_locality: shuffle_locality(config), ..Default::default() };
-    let mut joined_blocks = 0usize;
     match query {
-        Query::Scan(s) => {
-            est.blocks = table_candidates(src, &s.table, &s.predicates, None)?;
-        }
-        Query::Join(j) => {
-            let l = table_candidates(src, &j.left.table, &j.left.predicates, Some(j.left_attr))?;
-            let r = table_candidates(src, &j.right.table, &j.right.predicates, Some(j.right_attr))?;
+        Query::Scan(s) => est.blocks = candidates(s, None)?,
+        Query::Join(first) | Query::MultiJoin { first, .. } => {
+            let l = candidates(&first.left, Some(first.left_attr))?;
+            let r = candidates(&first.right, Some(first.right_attr))?;
             est.blocks = l + r;
-            joined_blocks = l + r;
             est.est_shuffle_cost = params.shuffle_join_cost(l, r);
-        }
-        Query::MultiJoin { first, steps } => {
-            let l = table_candidates(
-                src,
-                &first.left.table,
-                &first.left.predicates,
-                Some(first.left_attr),
-            )?;
-            let r = table_candidates(
-                src,
-                &first.right.table,
-                &first.right.predicates,
-                Some(first.right_attr),
-            )?;
-            est.blocks = l + r;
-            joined_blocks = l + r;
-            est.est_shuffle_cost = params.shuffle_join_cost(l, r);
-            for step in steps {
-                let b = table_candidates(
-                    src,
-                    &step.table.table,
-                    &step.table.predicates,
-                    Some(step.table_attr),
-                )?;
-                est.blocks += b;
-                joined_blocks += b;
-                est.est_shuffle_cost += params.shuffle_join_cost(0, b);
+            if let Query::MultiJoin { steps, .. } = query {
+                for step in steps {
+                    let b = candidates(&step.table, Some(step.table_attr))?;
+                    est.blocks += b;
+                    est.est_shuffle_cost += params.shuffle_join_cost(0, b);
+                }
             }
+            // Worst case mid-migration: every joined candidate is shuffled.
+            est.est_spill_blocks = est.blocks;
         }
     }
-    // Worst case mid-migration: every joined candidate is shuffled.
-    est.est_spill_blocks = joined_blocks;
     let (concurrency, serial, pipelined) = project_fetch_costs(
         est.est_spill_blocks,
         est.est_locality,

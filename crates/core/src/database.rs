@@ -564,7 +564,7 @@ impl Database {
         let unaccounted_before = self.store.unaccounted_reads();
         // Reject malformed queries before they reach the window or the
         // adaptation machinery.
-        readpath::validate_query(self, query)?;
+        crate::planner::validate_query(self, query)?;
         self.record_observation(query)?;
 
         let tracer = self.config.trace.then(adaptdb_common::Tracer::new);

@@ -1,19 +1,24 @@
-//! `EXPLAIN` for the AdaptDB planner: report the plan a query would get
-//! — strategy, candidate block counts, cost estimates — without reading
-//! any data. Experiments and operators use this to see *why* the
-//! planner picks hyper-join or shuffle (the §5.4 decision) at the
-//! current state of migration.
+//! `EXPLAIN` for the AdaptDB planner: render the [`QueryPlan`] a query
+//! would run — strategy, candidate block counts, cost estimates —
+//! without reading any data. Experiments and operators use this to see
+//! *why* the planner picks hyper-join or shuffle (the §5.4 decision) at
+//! the current state of migration.
+//!
+//! Every decision comes from [`plan_query`], the function execution
+//! runs, so the report's strategy and candidates are the ones the query
+//! gets. This module adds only the projections execution does not need:
+//! zone-map skips, cache residency, fetch-leg seconds and unfolded delta
+//! blocks.
 
 use std::sync::Arc;
 
 use adaptdb_common::stats::JoinStrategy;
-use adaptdb_common::{CostParams, Query, QueryStats, Result, Trace};
-use adaptdb_join::{planner as join_planner, JoinDecision, JoinSide};
+use adaptdb_common::{BlockId, GlobalBlockId, Query, QueryStats, Result, ScanQuery, Trace};
+use adaptdb_join::JoinSide;
 
 use crate::cost::{self, Lane};
 use crate::database::Database;
-use crate::planner::{block_ranges, classify_candidates};
-use crate::Mode;
+use crate::planner::{plan_query, JoinChoice, QueryPlan, ScanPlan, SideCandidates, StepMethod};
 
 /// What the planner would do for one query, and why.
 #[derive(Debug, Clone)]
@@ -233,21 +238,81 @@ impl std::fmt::Display for ExplainAnalyzeReport {
 impl Database {
     /// Explain the plan for `query` without executing it (and without
     /// triggering any adaptation — the query is *not* added to windows).
+    /// Fails like [`Database::run`] on a malformed query.
     pub fn explain(&self, query: &Query) -> Result<ExplainReport> {
-        let params: &CostParams = &self.config().cost;
+        let plan = plan_query(self, query)?;
+        let config = self.config();
         let est = cost::estimate_query(self, query)?;
-        let mut report = self.explain_inner(query, params)?;
-        report.est_cost_blocks = est.blocks;
-        report.est_lane = est.lane(self.config());
-        report.delta_blocks = report
-            .candidates
-            .iter()
-            .map(|(t, _, _)| self.table(t).map(|ts| ts.delta().len()).unwrap_or(0))
-            .sum();
-        if !matches!(query, Query::Scan(_)) {
-            report.join_mem_budget_blocks = self.config().join_mem_budget_blocks;
+        let sides = candidate_sets(&plan);
+        let hyper = plan.hyper_plan();
+        let mut est_zone_skipped = 0;
+        let mut est_shuffle_cost = 0.0;
+        let mut est_hyper_reads = hyper.map(|p| p.est_total_reads());
+        // Stored blocks the plan shuffles: rows are conserved through
+        // the map phase, so spill ≈ shuffled blocks. A shuffled step's
+        // intermediate is sized only at run time and is not counted.
+        let mut spill = 0;
+        match &plan {
+            QueryPlan::Scan(scan) if scan.pushdown => est_zone_skipped = self.zone_skips(scan)?,
+            QueryPlan::Scan(_) => {}
+            QueryPlan::Join { first, steps } => {
+                let all = first.left.len() + first.right.len();
+                est_shuffle_cost =
+                    config.cost.shuffle_join_cost(first.left.len(), first.right.len());
+                spill = match &first.choice {
+                    JoinChoice::ShuffleOnly => all,
+                    JoinChoice::Shuffle { hyper_cost, .. } => {
+                        est_hyper_reads = hyper_cost.is_finite().then_some(*hyper_cost as usize);
+                        all
+                    }
+                    JoinChoice::Hyper { remainder, .. } => {
+                        remainder.iter().map(|leg| leg.left.len() + leg.right.len()).sum()
+                    }
+                };
+                for step in steps {
+                    if let StepMethod::Shuffle(scan) = &step.method {
+                        spill += scan.blocks.len();
+                    }
+                }
+            }
         }
-        Ok(report)
+        // A fetch is local when one of the run's replicas is the
+        // reducer's node.
+        let est_shuffle_locality = cost::shuffle_locality(config);
+        let (est_fetch_concurrency, est_fetch_secs_serial, est_fetch_secs_pipelined) =
+            cost::project_fetch_costs(
+                spill,
+                est_shuffle_locality,
+                config.shuffle_fanout(),
+                config.fetch_window,
+                &config.cost,
+            );
+        Ok(ExplainReport {
+            strategy: plan.strategy(),
+            candidates: sides.iter().map(|(t, m, o)| (t.to_string(), m.len(), o.len())).collect(),
+            est_zone_skipped,
+            est_shuffle_cost,
+            est_shuffle_spill_blocks: spill,
+            est_shuffle_locality,
+            est_fetch_concurrency,
+            est_fetch_secs_serial,
+            est_fetch_secs_pipelined,
+            est_hyper_reads,
+            est_c_hyj: hyper.map(|p| p.c_hyj),
+            build_side: hyper.map(|p| p.build_side),
+            groups: hyper.map(|p| p.groups.len()),
+            join_mem_budget_blocks: match plan {
+                QueryPlan::Scan(_) => None,
+                QueryPlan::Join { .. } => config.join_mem_budget_blocks,
+            },
+            est_cost_blocks: est.blocks,
+            est_lane: est.lane(config),
+            est_cache_hit_rate: self.projected_cache_hit_rate(&sides),
+            delta_blocks: sides
+                .iter()
+                .map(|(t, _, _)| self.table(t).map(|ts| ts.delta().len()).unwrap_or(0))
+                .sum(),
+        })
     }
 
     /// `EXPLAIN ANALYZE`: take the plan projection, then execute the
@@ -266,100 +331,35 @@ impl Database {
         Ok(ExplainAnalyzeReport { explain, stats: result.stats, trace, rows: result.rows.len() })
     }
 
-    fn explain_inner(&self, query: &Query, params: &CostParams) -> Result<ExplainReport> {
-        match query {
-            Query::Scan(s) => {
-                let ts = self.table(&s.table)?;
-                let (blocks, est_zone_skipped) = if self.config().mode == Mode::FullScan {
-                    // The baseline passes no predicates to the scan, so
-                    // zone maps never exclude anything.
-                    (ts.all_blocks(), 0)
-                } else {
-                    let candidates = ts.lookup_blocks(&s.predicates);
-                    // Project zone-map skipping with the scan's exact
-                    // runtime check over the same block metadata.
-                    let mut skipped = 0usize;
-                    for &b in &candidates {
-                        if !self
-                            .store()
-                            .with_block_meta(&s.table, b, |m| s.predicates.may_match(&m.ranges))?
-                        {
-                            skipped += 1;
-                        }
-                    }
-                    (candidates, skipped)
-                };
-                let est_cache_hit_rate = self.projected_cache_hit_rate(&[(&s.table, &blocks)]);
-                Ok(ExplainReport {
-                    strategy: JoinStrategy::ScanOnly,
-                    candidates: vec![(s.table.clone(), 0, blocks.len())],
-                    est_zone_skipped,
-                    est_shuffle_cost: 0.0,
-                    est_shuffle_spill_blocks: 0,
-                    est_shuffle_locality: 1.0,
-                    est_fetch_concurrency: 1,
-                    est_fetch_secs_serial: 0.0,
-                    est_fetch_secs_pipelined: 0.0,
-                    est_hyper_reads: None,
-                    est_c_hyj: None,
-                    build_side: None,
-                    groups: None,
-                    join_mem_budget_blocks: None,
-                    est_cache_hit_rate,
-                    est_cost_blocks: 0,
-                    est_lane: Lane::Interactive,
-                    delta_blocks: 0,
-                })
-            }
-            Query::Join(j) => self.explain_join(
-                &j.left.table,
-                &j.left.predicates,
-                j.left_attr,
-                &j.right.table,
-                &j.right.predicates,
-                j.right_attr,
-                params,
-            ),
-            Query::MultiJoin { first, steps } => {
-                let mut report = self.explain_join(
-                    &first.left.table,
-                    &first.left.predicates,
-                    first.left_attr,
-                    &first.right.table,
-                    &first.right.predicates,
-                    first.right_attr,
-                    params,
-                )?;
-                for step in steps {
-                    let ts = self.table(&step.table.table)?;
-                    let c =
-                        classify_candidates(ts.snapshot(), &step.table.predicates, step.table_attr);
-                    report.candidates.push((
-                        step.table.table.clone(),
-                        c.matching.len(),
-                        c.other.len(),
-                    ));
-                }
-                Ok(report)
+    /// Candidate blocks the scan's per-block zone maps would skip,
+    /// projected with the scan's exact runtime check over the same
+    /// block metadata.
+    fn zone_skips(&self, scan: &ScanPlan<'_>) -> Result<usize> {
+        let ScanQuery { table, predicates } = scan.query;
+        let mut skipped = 0usize;
+        for &b in &scan.blocks {
+            if !self.store().with_block_meta(table, b, |m| predicates.may_match(&m.ranges))? {
+                skipped += 1;
             }
         }
+        Ok(skipped)
     }
 
     /// Fraction of the given candidate blocks resident in their
     /// preferred node's block cache — the [`ExplainReport`] hit-rate
     /// projection. `None` when the store has no cache attached. Pure
     /// probe: no recency bumps, no admissions, no clock charges.
-    fn projected_cache_hit_rate(&self, legs: &[(&str, &[adaptdb_common::BlockId])]) -> Option<f64> {
+    fn projected_cache_hit_rate(&self, sides: &[Candidates<'_>]) -> Option<f64> {
         let cache = self.store().cache()?;
-        let total: usize = legs.iter().map(|(_, blocks)| blocks.len()).sum();
+        let total: usize = sides.iter().map(|(_, m, o)| m.len() + o.len()).sum();
         if total == 0 {
             return Some(0.0);
         }
         let mut resident = 0usize;
-        for (table, blocks) in legs {
-            for &b in *blocks {
+        for (table, matching, other) in sides {
+            for &b in matching.iter().chain(*other) {
                 if let Ok(node) = self.store().preferred_node(table, b) {
-                    if cache.contains(node, &adaptdb_common::GlobalBlockId::new(*table, b)) {
+                    if cache.contains(node, &GlobalBlockId::new(*table, b)) {
                         resident += 1;
                     }
                 }
@@ -367,137 +367,25 @@ impl Database {
         }
         Some(resident as f64 / total as f64)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn explain_join(
-        &self,
-        left: &str,
-        left_preds: &adaptdb_common::PredicateSet,
-        left_attr: adaptdb_common::AttrId,
-        right: &str,
-        right_preds: &adaptdb_common::PredicateSet,
-        right_attr: adaptdb_common::AttrId,
-        params: &CostParams,
-    ) -> Result<ExplainReport> {
-        let lt = self.table(left)?;
-        let rt = self.table(right)?;
-        let lc = classify_candidates(lt.snapshot(), left_preds, left_attr);
-        let rc = classify_candidates(rt.snapshot(), right_preds, right_attr);
-        let est_cache_hit_rate =
-            self.projected_cache_hit_rate(&[(left, &lc.all()), (right, &rc.all())]);
-        let candidates = vec![
-            (left.to_string(), lc.matching.len(), lc.other.len()),
-            (right.to_string(), rc.matching.len(), rc.other.len()),
-        ];
-        let est_shuffle_cost = params.shuffle_join_cost(lc.len(), rc.len());
-        // Shuffle-service projection: rows are conserved through the
-        // map phase, so spill ≈ candidate blocks; a fetch is local when
-        // one of the run's replicas is the reducer's node.
-        let est_shuffle_spill_blocks = lc.len() + rc.len();
-        let est_shuffle_locality = cost::shuffle_locality(self.config());
-        let fetch_costs = |spill: usize| {
-            cost::project_fetch_costs(
-                spill,
-                est_shuffle_locality,
-                self.config().shuffle_fanout(),
-                self.config().fetch_window,
-                params,
-            )
-        };
-        let allow_hyper =
-            matches!(self.config().mode, Mode::Adaptive | Mode::FullRepartition | Mode::Fixed);
-        if !allow_hyper {
-            let (est_fetch_concurrency, est_fetch_secs_serial, est_fetch_secs_pipelined) =
-                fetch_costs(est_shuffle_spill_blocks);
-            return Ok(ExplainReport {
-                strategy: JoinStrategy::ShuffleJoin,
-                candidates,
-                est_zone_skipped: 0,
-                est_shuffle_cost,
-                est_shuffle_spill_blocks,
-                est_shuffle_locality,
-                est_fetch_concurrency,
-                est_fetch_secs_serial,
-                est_fetch_secs_pipelined,
-                est_hyper_reads: None,
-                est_c_hyj: None,
-                build_side: None,
-                groups: None,
-                join_mem_budget_blocks: None,
-                est_cache_hit_rate,
-                est_cost_blocks: 0,
-                est_lane: Lane::Interactive,
-                delta_blocks: 0,
-            });
+/// `(table, matching-tree blocks, other blocks)` for one table a plan
+/// reads.
+type Candidates<'p> = (&'p str, &'p [BlockId], &'p [BlockId]);
+
+/// The candidates of every table `plan` reads, in plan order.
+fn candidate_sets<'p>(plan: &'p QueryPlan<'_>) -> Vec<Candidates<'p>> {
+    let side = |s: &'p ScanQuery, c: &'p SideCandidates| -> Candidates<'p> {
+        (&s.table, &c.matching, &c.other)
+    };
+    match plan {
+        QueryPlan::Scan(scan) => vec![(&scan.query.table, &[], &scan.blocks)],
+        QueryPlan::Join { first, steps } => {
+            let mut sets =
+                vec![side(&first.query.left, &first.left), side(&first.query.right, &first.right)];
+            sets.extend(steps.iter().map(|s| side(&s.step.table, &s.candidates)));
+            sets
         }
-        let both_matching = !lc.matching.is_empty() && !rc.matching.is_empty();
-        let (l_hyper, r_hyper) = if both_matching {
-            (lc.matching.clone(), rc.matching.clone())
-        } else {
-            (lc.all(), rc.all())
-        };
-        let l_ranges = block_ranges(self.store(), left, &l_hyper, left_attr)?;
-        let r_ranges = block_ranges(self.store(), right, &r_hyper, right_attr)?;
-        let decision =
-            join_planner::plan(&l_ranges, &r_ranges, self.config().buffer_blocks, params);
-        Ok(match decision {
-            JoinDecision::Hyper(plan) => {
-                let mixed = both_matching && (!lc.other.is_empty() || !rc.other.is_empty());
-                // A pure hyper-join shuffles nothing; the mixed
-                // remainder still does.
-                let spill = if mixed { lc.other.len() + rc.other.len() } else { 0 };
-                let (est_fetch_concurrency, est_fetch_secs_serial, est_fetch_secs_pipelined) =
-                    fetch_costs(spill);
-                ExplainReport {
-                    strategy: if mixed { JoinStrategy::Mixed } else { JoinStrategy::HyperJoin },
-                    candidates,
-                    est_zone_skipped: 0,
-                    est_shuffle_cost,
-                    est_shuffle_spill_blocks: spill,
-                    est_shuffle_locality,
-                    est_fetch_concurrency,
-                    est_fetch_secs_serial,
-                    est_fetch_secs_pipelined,
-                    est_hyper_reads: Some(plan.est_total_reads()),
-                    est_c_hyj: Some(plan.c_hyj),
-                    build_side: Some(plan.build_side),
-                    groups: Some(plan.groups.len()),
-                    join_mem_budget_blocks: None,
-                    est_cache_hit_rate,
-                    est_cost_blocks: 0,
-                    est_lane: Lane::Interactive,
-                    delta_blocks: 0,
-                }
-            }
-            JoinDecision::Shuffle { hyper_cost, .. } => {
-                let (est_fetch_concurrency, est_fetch_secs_serial, est_fetch_secs_pipelined) =
-                    fetch_costs(est_shuffle_spill_blocks);
-                ExplainReport {
-                    strategy: JoinStrategy::ShuffleJoin,
-                    candidates,
-                    est_zone_skipped: 0,
-                    est_shuffle_cost,
-                    est_shuffle_spill_blocks,
-                    est_shuffle_locality,
-                    est_fetch_concurrency,
-                    est_fetch_secs_serial,
-                    est_fetch_secs_pipelined,
-                    est_hyper_reads: if hyper_cost.is_finite() {
-                        Some(hyper_cost as usize)
-                    } else {
-                        None
-                    },
-                    est_c_hyj: None,
-                    build_side: None,
-                    groups: None,
-                    join_mem_budget_blocks: None,
-                    est_cache_hit_rate,
-                    est_cost_blocks: 0,
-                    est_lane: Lane::Interactive,
-                    delta_blocks: 0,
-                }
-            }
-        })
     }
 }
 
@@ -536,6 +424,22 @@ mod tests {
         assert!((report.est_hyper_reads.unwrap() as f64) < report.est_shuffle_cost);
         let res = d.run(&join()).unwrap();
         assert_eq!(res.stats.strategy, report.strategy);
+    }
+
+    #[test]
+    fn malformed_query_errors_instead_of_panicking() {
+        use adaptdb_common::{CmpOp, Error, Predicate};
+        let mut d = db(Mode::Fixed);
+        let bad_join =
+            Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 9, 0));
+        let bad_scan = Query::Scan(ScanQuery::new(
+            "l",
+            PredicateSet::none().and(Predicate::new(9, CmpOp::Lt, 10i64)),
+        ));
+        for q in [bad_join, bad_scan] {
+            assert!(matches!(d.explain(&q), Err(Error::UnknownAttribute(_))), "{q:?}");
+            assert!(matches!(d.explain_analyze(&q), Err(Error::UnknownAttribute(_))), "{q:?}");
+        }
     }
 
     #[test]

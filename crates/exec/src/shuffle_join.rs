@@ -480,17 +480,13 @@ fn budgeted_join(
 ) -> Result<Vec<Row>> {
     let rpb = svc.rows_per_block();
     let build_len = left.len().min(right.len());
-    let budget_rows = match svc.ctx().join_mem_budget_blocks {
-        None => {
+    let budget_rows = match svc.ctx().join_mem_budget_blocks.map(|b| b.max(1) * rpb) {
+        Some(budget_rows) if build_len > budget_rows => budget_rows,
+        _ => {
             svc.ctx().clock.record_reducer_peak(build_len.div_ceil(rpb));
             return Ok(hash_join_rows(left, &right, left_attr, right_attr));
         }
-        Some(blocks) => blocks.max(1) * rpb,
     };
-    if build_len <= budget_rows {
-        svc.ctx().clock.record_reducer_peak(build_len.div_ceil(rpb));
-        return Ok(hash_join_rows(left, &right, left_attr, right_attr));
-    }
     if depth >= MAX_RECURSION_DEPTH {
         return Ok(block_nested_loop(svc, left, right, left_attr, right_attr, budget_rows));
     }
@@ -536,28 +532,16 @@ fn block_nested_loop(
     budget_rows: usize,
 ) -> Vec<Row> {
     let rpb = svc.rows_per_block();
-    let chunk_rows = budget_rows.max(1);
-    let mut out = Vec::new();
-    if left.len() <= right.len() {
-        for chunk in left.chunks(chunk_rows) {
-            svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
-            let table = JoinHashTable::build(chunk.to_vec(), left_attr);
-            for r in &right {
-                for l in table.probe(r.get(right_attr)) {
-                    out.push(l.concat(r));
-                }
-            }
-        }
+    let build_left = left.len() <= right.len();
+    let (build, build_attr, probe, probe_attr) = if build_left {
+        (&left, left_attr, &right, right_attr)
     } else {
-        for chunk in right.chunks(chunk_rows) {
-            svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
-            let table = JoinHashTable::build(chunk.to_vec(), right_attr);
-            for l in &left {
-                for r in table.probe(l.get(left_attr)) {
-                    out.push(l.concat(r));
-                }
-            }
-        }
+        (&right, right_attr, &left, left_attr)
+    };
+    let mut out = Vec::new();
+    for chunk in build.chunks(budget_rows.max(1)) {
+        svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
+        build_and_probe(chunk.iter().cloned(), build_attr, probe, probe_attr, build_left, &mut out);
     }
     out
 }
@@ -572,24 +556,31 @@ pub fn hash_join_rows(
 ) -> Vec<Row> {
     // Build on the smaller side to bound memory, preserving output order
     // semantics (left columns first).
+    let mut out = Vec::new();
     if left.len() <= right.len() {
-        let table = JoinHashTable::build(left, left_attr);
-        let mut out = Vec::new();
-        for r in right {
-            for l in table.probe(r.get(right_attr)) {
-                out.push(l.concat(r));
-            }
-        }
-        out
+        build_and_probe(left, left_attr, right, right_attr, true, &mut out);
     } else {
-        let table = JoinHashTable::build(right.to_vec(), right_attr);
-        let mut out = Vec::new();
-        for l in &left {
-            for r in table.probe(l.get(left_attr)) {
-                out.push(l.concat(r));
-            }
+        build_and_probe(right.iter().cloned(), right_attr, &left, left_attr, false, &mut out);
+    }
+    out
+}
+
+/// Hash-build `build` on `build_attr`, probe it with every `probe` row
+/// in order, and append each match to `out` with the left side's
+/// columns first (`build_left` says which side `build` is).
+fn build_and_probe(
+    build: impl IntoIterator<Item = Row>,
+    build_attr: AttrId,
+    probe: &[Row],
+    probe_attr: AttrId,
+    build_left: bool,
+    out: &mut Vec<Row>,
+) {
+    let table = JoinHashTable::build(build, build_attr);
+    for p in probe {
+        for b in table.probe(p.get(probe_attr)) {
+            out.push(if build_left { b.concat(p) } else { p.concat(b) });
         }
-        out
     }
 }
 
