@@ -27,7 +27,7 @@
 //!   loaded in `ADB1` vs `ADB2`: rows, `IoStats` (including
 //!   `zone_skipped`), and `ShuffleStats` bit-identical — the committed
 //!   baseline gates every counter exactly
-//!   (`scripts/check_bench_columnar.py`).
+//!   (`scripts/check_bench.py`).
 //!
 //! Wall-clock cells report the *minimum* over several iterations (the
 //! noise-robust estimator); counters are deterministic at any speed.

@@ -17,7 +17,7 @@
 //! Wall-clock cells are machine-dependent and never gated against the
 //! baseline; every simulated counter (append, fold, tail-rewrite, and
 //! read accounting) is deterministic and compared bit-exactly by
-//! `scripts/check_bench_ingest.py`.
+//! `scripts/check_bench.py`.
 //!
 //! Usage: `fig_ingest [--scale X] [--seed N] [--quick]`
 

@@ -17,7 +17,7 @@
 //! Everything here is deterministic (simulated I/O, fixed seed), which
 //! is what lets CI diff `BENCH_shuffle.json` against a committed
 //! baseline with a tight tolerance — including a minimum overlap
-//! factor on the pipelined series (`scripts/check_bench_shuffle.py`).
+//! factor on the pipelined series (`scripts/check_bench.py`).
 //!
 //! With `--trace-out PATH` (or `ADAPTDB_TRACE=1`) every measured cell
 //! additionally records a query-lifecycle span tree on the simulated

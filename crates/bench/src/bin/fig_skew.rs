@@ -24,7 +24,7 @@
 //! broadcast leg — is charged in full; only computation fans out).
 //! Everything is deterministic (simulated I/O, fixed seed), so CI diffs
 //! `BENCH_skew.json` against a committed baseline
-//! (`scripts/check_bench_skew.py`).
+//! (`scripts/check_bench.py`).
 //!
 //! Usage: `fig_skew [--scale X] [--seed N] [--quick]`
 

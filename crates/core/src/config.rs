@@ -117,18 +117,14 @@ pub struct DbConfig {
     /// the overflow to scratch and recursively repartitions it
     /// (Grace-style), falling back to block-nested-loop at the
     /// recursion cap. `None` (the default) is unbounded — the
-    /// pre-budget join, bit-identical block counts. Defaults honor the
-    /// `ADAPTDB_JOIN_MEM` environment variable; see
-    /// [`DbConfig::env_join_mem`].
+    /// pre-budget join, bit-identical block counts.
     pub join_mem_budget_blocks: Option<usize>,
     /// In-flight depth of the pipelined fetch backend: scans prefetch
     /// the manifest and reducers prefetch shuffle runs with up to this
     /// many block reads outstanding, charged max-of-window latency on
     /// the overlap breakdown. `1` disables pipelining (serial I/O —
     /// identical accounting to the pre-pipelining engine); block
-    /// *counts* are the same at every setting. Defaults honor the
-    /// `ADAPTDB_FETCH_WINDOW` environment variable; see
-    /// [`DbConfig::env_fetch_window`].
+    /// *counts* are the same at every setting.
     pub fetch_window: usize,
     /// Admission-scheduling policy the server runs
     /// ([`SchedPolicy::Fifo`] | [`SchedPolicy::Lanes`] |
@@ -162,8 +158,7 @@ pub struct DbConfig {
     /// Morsel size in rows for scan/probe gathers: selected row ranges
     /// split into cache-sized morsels dispatched through the ordered
     /// parallel executor (deterministic output order at any thread
-    /// count). Defaults honor the `ADAPTDB_MORSEL_ROWS` environment
-    /// variable; see [`DbConfig::env_morsel_rows`].
+    /// count).
     pub morsel_rows: usize,
     /// Query-lifecycle tracing: when on, every query run through
     /// [`crate::Database`] or the server collects a span tree
@@ -179,8 +174,6 @@ pub struct DbConfig {
     /// adaptation pass folds them into the partition tree (a
     /// repartition of just the deltas, costed on the maintenance
     /// clock). Smaller = tighter query plans, more background I/O.
-    /// Defaults honor the `ADAPTDB_INGEST_FOLD` environment variable;
-    /// see [`DbConfig::env_ingest_fold`].
     pub ingest_fold_blocks: usize,
     /// Merge appended rows into a partial delta tail block instead of
     /// always opening a new block: the tail is read back (charged),
@@ -235,16 +228,16 @@ impl Default for DbConfig {
             shuffle_partitions: None,
             shuffle_replication: 1,
             shuffle_split_threshold: Some(4.0),
-            join_mem_budget_blocks: DbConfig::env_join_mem(),
-            fetch_window: DbConfig::env_fetch_window().unwrap_or(4),
+            join_mem_budget_blocks: None,
+            fetch_window: 4,
             sched: DbConfig::env_sched().unwrap_or_default(),
             batch_cost_blocks: 64,
             maint_pace_wait_ms: 5.0,
             fetch_pace_wait_ms: None,
             columnar: false,
-            morsel_rows: DbConfig::env_morsel_rows().unwrap_or(adaptdb_exec::DEFAULT_MORSEL_ROWS),
+            morsel_rows: adaptdb_exec::DEFAULT_MORSEL_ROWS,
             trace: DbConfig::env_trace(),
-            ingest_fold_blocks: DbConfig::env_ingest_fold().unwrap_or(8),
+            ingest_fold_blocks: 8,
             ingest_merge_tail: true,
             cache_blocks_per_node: DbConfig::env_cache().unwrap_or(0),
             durable_path: DbConfig::env_durable_path(),
@@ -265,35 +258,11 @@ impl DbConfig {
         std::env::var("ADAPTDB_THREADS").ok()?.trim().parse::<usize>().ok().filter(|t| *t > 0)
     }
 
-    /// The `ADAPTDB_FETCH_WINDOW` override, if set to a positive
-    /// integer: the in-flight depth of pipelined block fetches
-    /// (`1` = serial I/O). Like `ADAPTDB_THREADS`, this never changes
-    /// results or block counts — only how much fetch latency overlaps.
-    pub fn env_fetch_window() -> Option<usize> {
-        std::env::var("ADAPTDB_FETCH_WINDOW").ok()?.trim().parse::<usize>().ok().filter(|w| *w > 0)
-    }
-
-    /// The `ADAPTDB_JOIN_MEM` override, if set to a positive integer:
-    /// the per-reducer build-memory budget in blocks. Unlike the other
-    /// overrides this changes the I/O *plan* (budgeted builds spill and
-    /// re-read overflow), but never a query's rows.
-    pub fn env_join_mem() -> Option<usize> {
-        std::env::var("ADAPTDB_JOIN_MEM").ok()?.trim().parse::<usize>().ok().filter(|b| *b > 0)
-    }
-
     /// The `ADAPTDB_SCHED` override, if set to a recognized policy
     /// name (`fifo` | `lanes` | `fair`). Like the other overrides this
     /// never changes results — only the order queries are admitted in.
     pub fn env_sched() -> Option<SchedPolicy> {
         SchedPolicy::parse(&std::env::var("ADAPTDB_SCHED").ok()?)
-    }
-
-    /// The `ADAPTDB_MORSEL_ROWS` override, if set to a positive
-    /// integer: the morsel size (in rows) for scan/probe
-    /// gathers. Like `ADAPTDB_THREADS`, this never changes results —
-    /// morsels reassemble in input order.
-    pub fn env_morsel_rows() -> Option<usize> {
-        std::env::var("ADAPTDB_MORSEL_ROWS").ok()?.trim().parse::<usize>().ok().filter(|m| *m > 0)
     }
 
     /// The `ADAPTDB_TRACE` override: `1` / `true` / `on` enables
@@ -305,14 +274,6 @@ impl DbConfig {
             std::env::var("ADAPTDB_TRACE").map(|v| v.trim().to_ascii_lowercase()).as_deref(),
             Ok("1") | Ok("true") | Ok("on")
         )
-    }
-
-    /// The `ADAPTDB_INGEST_FOLD` override, if set to a positive
-    /// integer: the delta-block count at which the next adaptation
-    /// pass folds a table's deltas into its partition tree. Changes
-    /// *when* background fold I/O happens, never any query's rows.
-    pub fn env_ingest_fold() -> Option<usize> {
-        std::env::var("ADAPTDB_INGEST_FOLD").ok()?.trim().parse::<usize>().ok().filter(|n| *n > 0)
     }
 
     /// The `ADAPTDB_CACHE` override, if set to a non-negative integer:
@@ -430,9 +391,7 @@ mod tests {
         let c = DbConfig::default();
         assert_eq!(c.shuffle_split_threshold, Some(4.0), "splitting on by default at 4x mean");
         assert_eq!(c.shuffle_options().split_threshold, Some(4.0));
-        if std::env::var("ADAPTDB_JOIN_MEM").is_err() {
-            assert_eq!(c.join_mem_budget_blocks, None, "build memory unbounded by default");
-        }
+        assert_eq!(c.join_mem_budget_blocks, None, "build memory unbounded by default");
         let c = DbConfig { shuffle_split_threshold: None, ..c };
         assert_eq!(c.shuffle_options().split_threshold, None);
     }
@@ -457,19 +416,13 @@ mod tests {
     fn columnar_defaults_off_and_morsel_positive() {
         // The ignored field keeps the value the benchmark harness pins.
         assert!(!DbConfig::default().columnar);
-        if std::env::var("ADAPTDB_MORSEL_ROWS").is_err() {
-            assert_eq!(DbConfig::default().morsel_rows, adaptdb_exec::DEFAULT_MORSEL_ROWS);
-        }
-        assert!(DbConfig::default().morsel_rows > 0);
+        assert_eq!(DbConfig::default().morsel_rows, adaptdb_exec::DEFAULT_MORSEL_ROWS);
     }
 
     #[test]
     fn ingest_knobs_default_and_guarded_by_env() {
         let c = DbConfig::default();
-        if std::env::var("ADAPTDB_INGEST_FOLD").is_err() {
-            assert_eq!(c.ingest_fold_blocks, 8);
-        }
-        assert!(c.ingest_fold_blocks > 0);
+        assert_eq!(c.ingest_fold_blocks, 8);
         assert!(c.ingest_merge_tail, "tail merging on by default (trickle == bulk counts)");
         if std::env::var("ADAPTDB_DURABLE_PATH").is_err() {
             assert_eq!(c.durable_path, None, "durability is opt-in; SimDfs stays the default");
@@ -488,12 +441,10 @@ mod tests {
 
     #[test]
     fn fetch_window_defaults_pipelined() {
-        // Pipelining is on by default (window 4) unless the env
-        // override says otherwise; results never depend on it.
-        if std::env::var("ADAPTDB_FETCH_WINDOW").is_err() {
-            assert_eq!(DbConfig::default().fetch_window, 4);
-            assert_eq!(DbConfig::small().fetch_window, 4);
-        }
+        // Pipelining is on by default (window 4); results never depend
+        // on it.
+        assert_eq!(DbConfig::default().fetch_window, 4);
+        assert_eq!(DbConfig::small().fetch_window, 4);
         let serial = DbConfig { fetch_window: 1, ..DbConfig::small() };
         assert_eq!(serial.fetch_window, 1);
     }

@@ -396,8 +396,8 @@ mod tests {
     use adaptdb_common::{row, JoinQuery, PredicateSet, ScanQuery, Schema, ValueType};
 
     fn db(mode: Mode) -> Database {
-        // fetch_window pinned explicitly so the env override
-        // (ADAPTDB_FETCH_WINDOW) cannot change what these tests assert.
+        // fetch_window pinned explicitly so a change of the default
+        // cannot change what these tests assert.
         let mut db = Database::new(
             DbConfig { rows_per_block: 10, buffer_blocks: 4, fetch_window: 4, ..DbConfig::small() }
                 .with_mode(mode),

@@ -248,19 +248,14 @@ impl SimClock {
         *self.cache.lock()
     }
 
-    /// Reset to zero, returning the previous tally (the shuffle and
-    /// overlap breakdowns reset with it; see [`SimClock::take_shuffle`]).
+    /// Reset to zero, returning the previous tally (the shuffle, overlap
+    /// and cache breakdowns reset with it).
     pub fn take(&self) -> IoStats {
         let io = std::mem::take(&mut *self.io.lock());
         let _ = std::mem::take(&mut *self.shuffle.lock());
         let _ = std::mem::take(&mut *self.overlap.lock());
         let _ = std::mem::take(&mut *self.cache.lock());
         io
-    }
-
-    /// Reset and return the shuffle breakdown only.
-    pub fn take_shuffle(&self) -> ShuffleStats {
-        std::mem::take(&mut *self.shuffle.lock())
     }
 
     /// Simulated seconds for the tally so far.

@@ -24,7 +24,7 @@ use adaptdb_storage::LazyBlock;
 use crate::context::ExecContext;
 use crate::hash_table::JoinHashTable;
 use crate::parallel;
-use crate::scan::{gather_morsels, select_lazy, stream_blocks};
+use crate::scan::{gather_morsels, read_selected, select_lazy, stream_blocks};
 
 /// Everything needed to execute one hyper-join.
 #[derive(Debug, Clone)]
@@ -115,13 +115,7 @@ fn run_group(
 
     let mut table = JoinHashTable::new();
     for &b in build_blocks {
-        let (lazy, _) = ctx.store.read_lazy_classified(build_table, b, node, ctx.clock)?;
-        // Column-wise filter, then gather only the surviving rows into
-        // the hash table in block order.
-        let sel = select_lazy(&lazy, build_preds)?;
-        ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
-        let selected = [(lazy, sel)];
-        for row in gather_morsels(ExecContext { threads: 1, ..ctx }, &selected)? {
+        for row in read_selected(ctx, build_table, b, node, build_preds)? {
             table.insert(build_attr, row);
         }
     }

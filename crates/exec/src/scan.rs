@@ -201,6 +201,25 @@ pub(crate) fn gather_morsels(
     Ok(out)
 }
 
+/// Read one block of `table` at `node` and return its rows that match
+/// `preds`, in block order: a lazy read, the column-wise selection, then
+/// one single-threaded gather of the survivors. Charges the read and the
+/// scanned/kept row counts on `ctx.clock`. The hyper-join build leg, the
+/// multi-way step build and the shuffle map side read their blocks
+/// through this.
+pub(crate) fn read_selected(
+    ctx: ExecContext<'_>,
+    table: &str,
+    block: BlockId,
+    node: NodeId,
+    preds: &PredicateSet,
+) -> Result<Vec<Row>> {
+    let (lazy, _) = ctx.store.read_lazy_classified(table, block, node, ctx.clock)?;
+    let sel = select_lazy(&lazy, preds)?;
+    ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
+    gather_morsels(ExecContext { threads: 1, ..ctx }, &[(lazy, sel)])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,6 +50,7 @@ use adaptdb_storage::writer::BucketId;
 use adaptdb_storage::{FetchStream, PartitionedWriter};
 
 use crate::context::ExecContext;
+use crate::scan::read_selected;
 
 /// Tag bit marking a fetch-stream request as a *right*-side run (the
 /// low bits carry the run's [`BlockId`]); see
@@ -177,20 +178,13 @@ impl<'a> ShuffleService<'a> {
         for (node, blks) in per_node {
             let mut mapper = MapTask::new(self, node);
             for b in blks {
-                let block = self.ctx.store.read_block(table, b, node, self.ctx.clock)?;
-                let scanned = block.rows.len();
-                let mut kept = 0usize;
-                for row in block.rows {
-                    if preds.matches(&row) {
-                        kept += 1;
-                        let hash = row.get(attr).stable_hash();
-                        if let Some(c) = collect.as_deref_mut() {
-                            c[(hash % self.partitions as u64) as usize].push(row.clone());
-                        }
-                        mapper.push(hash, row);
+                for row in read_selected(self.ctx, table, b, node, preds)? {
+                    let hash = row.get(attr).stable_hash();
+                    if let Some(c) = collect.as_deref_mut() {
+                        c[(hash % self.partitions as u64) as usize].push(row.clone());
                     }
+                    mapper.push(hash, row);
                 }
-                self.ctx.clock.record_rows(scanned, kept);
             }
             mapper.spill(&mut side)?;
             on_task(&side);

@@ -351,9 +351,9 @@ fn report_exposes_queue_and_inflight_gauges() {
 
 #[test]
 fn sessions_aggregate_overlap_stats_under_pipelining() {
-    // Shuffle-heavy mode with a pinned pipelined window (explicit so
-    // the ADAPTDB_FETCH_WINDOW override can't change the assertions):
-    // sessions must see hidden fetch latency accumulate.
+    // Shuffle-heavy mode with a pinned pipelined window (explicit so a
+    // change of the default can't change the assertions): sessions
+    // must see hidden fetch latency accumulate.
     let config = DbConfig {
         rows_per_block: 10,
         window_size: 5,

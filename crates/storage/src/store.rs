@@ -452,11 +452,6 @@ impl BlockStore {
         self.meta.read().get(table).and_then(|m| m.get(&id)).map(f).ok_or(Error::UnknownBlock(id))
     }
 
-    /// All block metadata for a table, ascending by id.
-    pub fn table_metas(&self, table: &str) -> Vec<BlockMeta> {
-        self.meta.read().get(table).map(|m| m.values().cloned().collect()).unwrap_or_default()
-    }
-
     /// Ids of all live blocks of a table, ascending.
     pub fn block_ids(&self, table: &str) -> Vec<BlockId> {
         self.meta.read().get(table).map(|m| m.keys().copied().collect()).unwrap_or_default()
@@ -617,7 +612,6 @@ mod tests {
         let s = store();
         assert!(s.block_meta("nope", 0).is_err());
         assert!(s.read_block_unaccounted("nope", 0).is_err());
-        assert!(s.table_metas("nope").is_empty());
     }
 
     #[test]

@@ -56,19 +56,6 @@ impl TwoPhaseBuilder {
         TwoPhaseBuilder { arity, join_attr, join_levels, selection_attrs, total_depth, seed }
     }
 
-    /// Convenience: reserve half of the levels for the join attribute —
-    /// the paper's default ("used half of the levels of the partitioning
-    /// tree for join attributes", §7.1).
-    pub fn half_join_levels(
-        arity: usize,
-        join_attr: AttrId,
-        selection_attrs: Vec<AttrId>,
-        total_depth: usize,
-        seed: u64,
-    ) -> Self {
-        TwoPhaseBuilder::new(arity, join_attr, total_depth / 2, selection_attrs, total_depth, seed)
-    }
-
     /// Build the tree from a data sample.
     pub fn build(&self, sample: &[Row]) -> PartitionTree {
         let refs: Vec<&Row> = sample.iter().collect();
@@ -236,7 +223,7 @@ mod tests {
     #[test]
     fn selection_levels_allow_predicate_skipping() {
         let rows = sample(5000, 4);
-        let t = TwoPhaseBuilder::half_join_levels(3, 0, vec![1, 2], 6, 5).build(&rows);
+        let t = TwoPhaseBuilder::new(3, 0, 3, vec![1, 2], 6, 5).build(&rows);
         let q = PredicateSet::none().and(Predicate::new(1, CmpOp::Lt, 30i64));
         assert!(t.lookup(&q).len() < t.bucket_count());
         // And join-key predicates prune via the top levels.
